@@ -9,15 +9,8 @@ or logarithmically drifting.
 
 __version__ = "0.1.0"
 
-from .detect import FitResult, FitWindow, classify, fit_log, last_decade
-from .evolve import (
-    SpectralDecomposition,
-    TimeGrid,
-    decompose,
-    default_time_grid,
-    evolve_multisector,
-    evolve_state,
-)
+from .detect import FitResult, FitWindow, fit_log, last_decade
+from .evolve import SpectralDecomposition, TimeGrid, decompose, default_time_grid, evolve_state
 from .experiment import (
     ExperimentConfig,
     TrajectoryRecord,
@@ -32,9 +25,8 @@ from .hamiltonian import (
     build_hamiltonian,
     sample_disorder,
 )
-from .hilbert import FullSpace, Sector, enumerate_sector, full_space, hop_sign
+from .hilbert import Sector, enumerate_sector, full_space
 from .quantifiers import (
-    DensityMatrix,
     QuantifierTriple,
     coherence_l1,
     entanglement_l1,
@@ -44,37 +36,31 @@ from .quantifiers import (
     partial_trace,
     predictability_l1,
 )
-from .states import MultiSectorState, StateVector, max_coherent, max_incoherent, neel, w_state
+from .states import BlockState, max_coherent, max_incoherent, neel, w_state
 
 __all__ = [
+    "BlockState",
     "ChainParams",
-    "DensityMatrix",
     "DisorderRealization",
     "ExperimentConfig",
     "FitResult",
     "FitWindow",
-    "FullSpace",
     "HamiltonianMatrix",
-    "MultiSectorState",
     "QuantifierTriple",
     "Sector",
     "SpectralDecomposition",
-    "StateVector",
     "TimeGrid",
     "TrajectoryRecord",
     "build_hamiltonian",
-    "classify",
     "coherence_l1",
     "decompose",
     "default_time_grid",
     "enumerate_sector",
     "entanglement_l1",
-    "evolve_multisector",
     "evolve_state",
     "fit_log",
     "full_space",
     "global_quantifiers",
-    "hop_sign",
     "last_decade",
     "local_quantifiers",
     "make_default_config",

@@ -224,16 +224,13 @@ def _read_trajectory_csv(path: str | Path) -> TrajectoryRecord:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     record = _read_trajectory_csv(args.csv)
-    if args.window_low is None and args.window_high is None:
-        window = last_decade(record.times)
-    else:
-        low = args.window_low if args.window_low is not None else float(record.times[0])
-        high = args.window_high if args.window_high is not None else float(record.times[-1])
-        try:
-            window = FitWindow(t_low=low, t_high=high)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     try:
+        if args.window_low is None and args.window_high is None:
+            window = last_decade(record.times)
+        else:
+            low = args.window_low if args.window_low is not None else float(record.times[0])
+            high = args.window_high if args.window_high is not None else float(record.times[-1])
+            window = FitWindow(t_low=low, t_high=high)
         result = fit_log(record, args.quantity, window, abs_tol=args.abs_tol, sig=args.sig)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

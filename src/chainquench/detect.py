@@ -82,6 +82,8 @@ def fit_log(
         )
     x = -np.log(times[inside])
     y = values[inside]
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"{quantity} has non-finite values inside the fit window")
 
     design = np.column_stack([np.ones(m), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -101,12 +103,3 @@ def fit_log(
         label=_label(b, b_stderr, abs_tol, sig),
         n_points=m,
     )
-
-
-def classify(
-    fit: FitResult, abs_tol: float = DEFAULT_ABS_TOL, sig: float = DEFAULT_SIG
-) -> str:
-    """Re-apply the labeling rule to an existing fit with given thresholds."""
-    if not (np.isfinite(fit.b) and np.isfinite(fit.b_stderr)):
-        raise ValueError("fit coefficients must be finite")
-    return _label(fit.b, fit.b_stderr, abs_tol, sig)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .hamiltonian import HamiltonianMatrix
 from .hilbert import Sector
-from .states import MultiSectorState, StateVector
+from .states import BlockState
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,25 +87,18 @@ def evolve_series(
     return spec.eigenvectors @ (phases * coeffs[:, None])
 
 
-def evolve_state(spec: SpectralDecomposition, psi0: StateVector, t: float) -> StateVector:
-    """|psi(t)> = V exp(-i lambda t) V^dagger |psi(0)>."""
-    if t < 0:
+def evolve_state(
+    specs: Sequence[SpectralDecomposition], psi0: BlockState, t
+) -> BlockState:
+    """Evolve each block under the decomposition with its particle number.
+
+    A scalar t gives (dim,) blocks; a 1-d array of times gives time-major
+    (n_times, dim) blocks.
+    """
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
         raise ValueError("time must be nonnegative")
-    out = evolve_series(spec, psi0.amplitudes, np.array([t]))[:, 0]
-    return StateVector(amplitudes=out, sector=psi0.sector)
-
-
-def _specs_by_count(specs: Sequence[SpectralDecomposition]) -> dict[int, SpectralDecomposition]:
-    return {s.sector.n_particles: s for s in specs}
-
-
-def evolve_multisector(
-    specs: Sequence[SpectralDecomposition], psi0: MultiSectorState, t: float
-) -> MultiSectorState:
-    """Evolve each particle-number block independently."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    by_count = _specs_by_count(specs)
+    by_count = {s.sector.n_particles: s for s in specs}
     blocks = []
     for sector, amps in psi0.blocks:
         spec = by_count.get(sector.n_particles)
@@ -113,21 +106,6 @@ def evolve_multisector(
             raise ValueError(
                 f"no decomposition supplied for the {sector.n_particles}-particle block"
             )
-        blocks.append((sector, evolve_series(spec, amps, np.array([t]))[:, 0]))
-    return MultiSectorState(n_sites=psi0.n_sites, blocks=tuple(blocks))
-
-
-def evolve_multisector_series(
-    specs: Sequence[SpectralDecomposition], psi0: MultiSectorState, times: np.ndarray
-) -> list[tuple[Sector, np.ndarray]]:
-    """Per-block (dim, n_times) amplitude arrays over the grid."""
-    by_count = _specs_by_count(specs)
-    out = []
-    for sector, amps in psi0.blocks:
-        spec = by_count.get(sector.n_particles)
-        if spec is None:
-            raise ValueError(
-                f"no decomposition supplied for the {sector.n_particles}-particle block"
-            )
-        out.append((sector, evolve_series(spec, amps, times)))
-    return out
+        series = evolve_series(spec, amps, times.reshape(-1))
+        blocks.append((sector, series.T.reshape(times.shape + (-1,))))
+    return BlockState(n_sites=psi0.n_sites, blocks=tuple(blocks))

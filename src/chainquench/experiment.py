@@ -15,16 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolve import (
-    TimeGrid,
-    decompose,
-    default_time_grid,
-    evolve_multisector_series,
-    evolve_series,
-)
+from .evolve import TimeGrid, decompose, default_time_grid, evolve_series
 from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
-from .quantifiers import QuantifierTriple, global_quantifiers, local_quantifiers
-from .states import MultiSectorState, StateVector, max_coherent, max_incoherent, neel, w_state
+from .quantifiers import global_quantifiers, local_quantifiers
+from .states import BlockState, max_coherent, max_incoherent, neel, w_state
 
 INITIAL_STATES = ("neel", "max_incoherent", "max_coherent", "w_state")
 MODES = ("global", "local")
@@ -106,33 +100,18 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
     eps = sample_disorder(config.chain.n_sites, seed)
     psi0 = _STATE_FACTORIES[config.initial_state](config.chain.n_sites)
     times = config.grid.times
+    blocks = []
+    for sector, amps in psi0.blocks:
+        spec = decompose(build_hamiltonian(config.chain, eps, sector))
+        blocks.append((sector, evolve_series(spec, amps, times).T))
+    psi_t = BlockState(n_sites=psi0.n_sites, blocks=tuple(blocks))
 
-    if isinstance(psi0, MultiSectorState):
-        specs = [
-            decompose(build_hamiltonian(config.chain, eps, sector))
-            for sector, _ in psi0.blocks
-        ]
-        series = evolve_multisector_series(specs, psi0, times)
-
-        def state_at(j: int) -> MultiSectorState:
-            blocks = tuple((sector, arr[:, j]) for sector, arr in series)
-            return MultiSectorState(n_sites=psi0.n_sites, blocks=blocks)
-
+    if config.mode == "global":
+        trip = global_quantifiers(psi_t)
     else:
-        spec = decompose(build_hamiltonian(config.chain, eps, psi0.sector))
-        arr = evolve_series(spec, psi0.amplitudes, times)
-
-        def state_at(j: int) -> StateVector:
-            return StateVector(amplitudes=arr[:, j], sector=psi0.sector)
-
+        trip = local_quantifiers(psi_t, config.window)
     rows = np.empty((len(times), 3))
-    for j in range(len(times)):
-        psi_t = state_at(j)
-        if config.mode == "global":
-            trip: QuantifierTriple = global_quantifiers(psi_t)
-        else:
-            trip = local_quantifiers(psi_t, config.window)
-        rows[j] = (trip.C, trip.P, trip.E)
+    rows[:, 0], rows[:, 1], rows[:, 2] = trip.C, trip.P, trip.E
     return seed, rows
 
 

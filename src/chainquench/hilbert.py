@@ -32,18 +32,6 @@ class Sector:
         return len(self.states)
 
 
-@dataclass(frozen=True, eq=False)
-class FullSpace:
-    """Every particle-number sector of an N-site chain, k = 0..N."""
-
-    n_sites: int
-    sectors: tuple[Sector, ...]
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_sites
-
-
 @lru_cache(maxsize=None)
 def enumerate_sector(n_sites: int, n_particles: int) -> Sector:
     """Enumerate all bit patterns with the given popcount, ascending."""
@@ -65,30 +53,12 @@ def enumerate_sector(n_sites: int, n_particles: int) -> Sector:
 
 
 @lru_cache(maxsize=None)
-def full_space(n_sites: int) -> FullSpace:
-    """All sectors of the chain, in particle-number order."""
-    sectors = tuple(enumerate_sector(n_sites, k) for k in range(n_sites + 1))
-    return FullSpace(n_sites=n_sites, sectors=sectors)
+def full_space(n_sites: int) -> tuple[Sector, ...]:
+    """All sectors of the chain, k = 0..N, in particle-number order."""
+    return tuple(enumerate_sector(n_sites, k) for k in range(n_sites + 1))
 
 
 def sites_between_mask(i: int, j: int) -> int:
     """Bit mask of the sites strictly between sites i and j."""
     lo, hi = sorted((i, j))
     return ((1 << (hi - 1)) - 1) ^ ((1 << lo) - 1)
-
-
-def hop_sign(state: int, i: int, j: int) -> int:
-    """Sign of moving the particle on site i to the empty site j.
-
-    Reordering the creation operators back into site order crosses every
-    occupied site strictly between i and j once, so the sign is (-1) to
-    that count. Adjacent hops therefore always give +1.
-    """
-    if i == j:
-        raise ValueError("hop requires two distinct sites")
-    if not (state >> (i - 1)) & 1:
-        raise ValueError(f"site {i} is not occupied in state {state:#b}")
-    if (state >> (j - 1)) & 1:
-        raise ValueError(f"site {j} is already occupied in state {state:#b}")
-    crossed = state & sites_between_mask(i, j)
-    return -1 if crossed.bit_count() & 1 else 1

@@ -17,105 +17,79 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .hilbert import enumerate_sector
-from .states import MultiSectorState, StateVector
+from .states import BlockState
 
 NORM_ATOL = 1e-8
-
-PureState = Union[StateVector, MultiSectorState]
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian trace-one matrix in the occupation basis of `sites`.
-
-    Basis index a encodes the window occupations with the first listed
-    site as the least significant bit, matching the global convention.
-    """
-
-    entries: np.ndarray
-    sites: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
 class QuantifierTriple:
-    """Normalized (C, P, E); sums to 1 for pure states."""
+    """Normalized (C, P, E), one value per time; sums to 1 for pure states."""
 
-    C: float
-    P: float
-    E: float
+    C: float | np.ndarray
+    P: float | np.ndarray
+    E: float | np.ndarray
 
 
-def _as_matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.entries
-    return np.asarray(rho)
+# Every function below reduces over trailing axes only, so on a C-ordered stack
+# of inputs along leading (time) axes it gives, bit for bit, the stack of the
+# separate results.
 
 
 def _diag_probs(m: np.ndarray) -> np.ndarray:
     # tiny negative diagonals from numerical noise would poison the sqrt
-    return np.clip(np.diagonal(m).real, 0.0, None)
+    return np.clip(np.diagonal(m, axis1=-2, axis2=-1).real, 0.0, None)
 
 
-def coherence_l1(rho: DensityMatrix | np.ndarray) -> float:
-    """Sum of absolute off-diagonal elements."""
-    m = _as_matrix(rho)
-    a = np.abs(m)
-    return float(a.sum() - np.trace(a))
+def _off_diagonal_sum(a: np.ndarray) -> np.ndarray:
+    return a.sum(axis=(-2, -1)) - np.trace(a, axis1=-2, axis2=-1)
 
 
-def predictability_l1(rho: DensityMatrix | np.ndarray) -> float:
+def coherence_l1(rho: np.ndarray) -> float | np.ndarray:
+    """Sum of absolute off-diagonal elements of each (..., d, d) matrix."""
+    return _off_diagonal_sum(np.abs(rho))
+
+
+def predictability_l1(rho: np.ndarray) -> float | np.ndarray:
     """d - 1 minus the off-diagonal sum of sqrt(rho_jj rho_kk); diagonal-only."""
-    m = _as_matrix(rho)
-    p = _diag_probs(m)
-    s = np.sqrt(p).sum()
-    return float(len(p) - 1 - (s * s - p.sum()))
+    p = _diag_probs(rho)
+    s = np.sqrt(p).sum(axis=-1)
+    return p.shape[-1] - 1 - (s * s - p.sum(axis=-1))
 
 
-def entanglement_l1(rho: DensityMatrix | np.ndarray) -> float:
+def entanglement_l1(rho: np.ndarray) -> float | np.ndarray:
     """Term-by-term sum of sqrt(rho_jj rho_kk) - |rho_jk| over j != k.
 
     Computed directly rather than via d - 1 - C - P, so cancellation in
     the identity stays a checkable property instead of a built-in truth.
     """
-    m = _as_matrix(rho)
-    root = np.sqrt(_diag_probs(m))
-    gaps = np.outer(root, root) - np.abs(m)
-    return float(gaps.sum() - np.trace(gaps))
+    root = np.sqrt(_diag_probs(rho))
+    return _off_diagonal_sum(root[..., :, None] * root[..., None, :] - np.abs(rho))
 
 
-def global_quantifiers(psi: PureState, n_sites: int | None = None) -> QuantifierTriple:
+def _check_norm(psi: BlockState) -> None:
+    deviation = np.max(np.abs(psi.norm2() - 1.0))
+    if deviation > NORM_ATOL:
+        raise ValueError(f"state is not normalized: max ||psi|^2 - 1| = {float(deviation)!r}")
+
+
+def global_quantifiers(psi: BlockState, n_sites: int | None = None) -> QuantifierTriple:
     """Whole-chain triple of a pure state; no bipartition, so E = 0.
 
     Uses the pure-state shortcut: with s1 = sum_j |psi_j| over all 2^N
     components, raw C = s1^2 - 1 and raw P = 2^N - s1^2. Equivalent to
     building |psi><psi| explicitly but never materializes it.
     """
-    if isinstance(psi, StateVector):
-        chain_sites = psi.n_sites
-        mags = np.abs(psi.amplitudes)
-    elif isinstance(psi, MultiSectorState):
-        chain_sites = psi.n_sites
-        mags = np.concatenate([np.abs(a) for _, a in psi.blocks])
-    else:
-        raise TypeError(f"expected a state, got {type(psi).__name__}")
-    if n_sites is not None and n_sites != chain_sites:
-        raise ValueError(f"state lives on {chain_sites} sites, not {n_sites}")
-
-    norm2 = float(np.sum(mags**2))
-    if abs(norm2 - 1.0) > NORM_ATOL:
-        raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
-
-    d = 1 << chain_sites
-    s1 = float(mags.sum())
+    if n_sites is not None and n_sites != psi.n_sites:
+        raise ValueError(f"state lives on {psi.n_sites} sites, not {n_sites}")
+    _check_norm(psi)
+    d = 1 << psi.n_sites
+    s1 = np.concatenate([np.abs(amps) for _, amps in psi.blocks], axis=-1).sum(axis=-1)
     scale = d - 1
     return QuantifierTriple(C=(s1 * s1 - 1.0) / scale, P=(d - s1 * s1) / scale, E=0.0)
 
@@ -133,54 +107,44 @@ def _window_scatter(
     return window, rest
 
 
-def partial_trace(psi: PureState, keep_sites: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix of a contiguous site window.
+def partial_trace(psi: BlockState, keep_sites: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix of a contiguous site window, (..., 2^w, 2^w).
 
     Works in the occupation (qubit) representation with sites in chain
     order: rho[a, a'] = sum_b psi[a (x) b] conj(psi[a' (x) b]) over the
-    complement configurations b. Only contiguous windows are supported;
-    there the window diagonal agrees with the fermionic-mode one and no
-    reordering signs arise.
+    complement configurations b. Basis index a encodes the window
+    occupations with the first kept site as the least significant bit.
+    Only contiguous windows are supported; there the window diagonal agrees
+    with the fermionic-mode one and no reordering signs arise.
     """
     keep = tuple(int(s) for s in keep_sites)
     if not keep:
         raise ValueError("keep_sites must be nonempty")
-
-    if isinstance(psi, StateVector):
-        n_sites = psi.n_sites
-        blocks: Sequence[tuple] = ((psi.sector, psi.amplitudes),)
-        norm2 = psi.norm2()
-    elif isinstance(psi, MultiSectorState):
-        n_sites = psi.n_sites
-        blocks = psi.blocks
-        norm2 = psi.norm2()
-    else:
-        raise TypeError(f"expected a state, got {type(psi).__name__}")
-
+    n_sites = psi.n_sites
     if any(not 1 <= s <= n_sites for s in keep):
         raise ValueError(f"sites {keep} outside chain 1..{n_sites}")
     if keep != tuple(range(keep[0], keep[0] + len(keep))):
         raise NotImplementedError(
             f"only contiguous ascending site windows are supported, got {keep}"
         )
-    if abs(norm2 - 1.0) > NORM_ATOL:
-        raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
+    _check_norm(psi)
 
     width = len(keep)
-    M = np.zeros((1 << width, 1 << (n_sites - width)), dtype=complex)
-    for sector, amps in blocks:
+    M = np.zeros(psi.time_shape + (1 << width, 1 << (n_sites - width)), dtype=complex)
+    for sector, amps in psi.blocks:
         window, rest = _window_scatter(n_sites, sector.n_particles, keep[0], width)
-        M[window, rest] = amps
-    return DensityMatrix(entries=M @ M.conj().T, sites=keep)
+        M[..., window, rest] = amps
+    return M @ M.conj().swapaxes(-1, -2)
 
 
-def local_quantifiers(psi: PureState, n: int) -> QuantifierTriple:
+def local_quantifiers(psi: BlockState, n: int) -> QuantifierTriple:
     """Average normalized triple over all N - n + 1 contiguous n-site windows."""
     n_sites = psi.n_sites
     if not 1 <= n <= n_sites:
         raise ValueError(f"window size {n} outside 1..{n_sites}")
     c_sum = p_sum = e_sum = 0.0
     n_windows = n_sites - n + 1
+    # one window at a time keeps a single (n_times, 2^n, 2^(N-n)) scatter alive
     for first in range(1, n_windows + 1):
         rho = partial_trace(psi, range(first, first + n))
         c_sum += coherence_l1(rho)

@@ -16,66 +16,63 @@ from .hilbert import Sector, enumerate_sector, full_space
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """Complex amplitudes over one sector's basis order."""
+class BlockState:
+    """A pure state as particle-number blocks, at most one per count.
 
-    amplitudes: np.ndarray
-    sector: Sector
-
-    @property
-    def n_sites(self) -> int:
-        return self.sector.n_sites
-
-    def norm2(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def to_dense(self) -> np.ndarray:
-        """Scatter onto the full 2^N computational basis (bit pattern = index)."""
-        out = np.zeros(1 << self.n_sites, dtype=complex)
-        out[self.sector.states] = self.amplitudes
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class MultiSectorState:
-    """A state spread over several particle-number blocks, one per count at most."""
+    Each block holds amplitudes in its sector's basis order, shaped (dim,) at
+    one time or time-major (n_times, dim) over a grid; all blocks share the
+    leading shape. A state of definite particle number is a single block.
+    """
 
     n_sites: int
     blocks: tuple[tuple[Sector, np.ndarray], ...]
 
-    def norm2(self) -> float:
-        return float(sum(np.sum(np.abs(a) ** 2) for _, a in self.blocks))
+    def __post_init__(self) -> None:
+        # C order keeps each time's amplitudes contiguous, so every reduction
+        # over a block runs exactly as it would on that time's state alone
+        blocks = tuple((sector, np.ascontiguousarray(amps)) for sector, amps in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def time_shape(self) -> tuple[int, ...]:
+        """() at one time, (n_times,) over a grid."""
+        return np.broadcast_shapes(*(amps.shape[:-1] for _, amps in self.blocks))
+
+    def norm2(self):
+        """Squared norm, one value per time."""
+        return sum(np.sum(np.abs(amps) ** 2, axis=-1) for _, amps in self.blocks)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(1 << self.n_sites, dtype=complex)
+        """Scatter onto the full 2^N computational basis (bit pattern = index)."""
+        out = np.zeros(self.time_shape + (1 << self.n_sites,), dtype=complex)
         for sector, amps in self.blocks:
-            out[sector.states] = amps
+            out[..., sector.states] = amps
         return out
 
     @classmethod
-    def from_dense(cls, amplitudes: np.ndarray, n_sites: int) -> "MultiSectorState":
-        """Split a full 2^N amplitude vector into its nonzero sector blocks."""
+    def from_dense(cls, amplitudes: np.ndarray, n_sites: int) -> "BlockState":
+        """Split full 2^N amplitudes (last axis) into their nonzero sector blocks."""
         amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (1 << n_sites,):
+        if amplitudes.shape[-1:] != (1 << n_sites,):
             raise ValueError(
                 f"expected {1 << n_sites} amplitudes for {n_sites} sites, "
                 f"got {amplitudes.shape}"
             )
         blocks = []
-        for sector in full_space(n_sites).sectors:
-            amps = amplitudes[sector.states]
+        for sector in full_space(n_sites):
+            amps = amplitudes[..., sector.states]
             if np.any(amps != 0):
                 blocks.append((sector, amps))
         return cls(n_sites=n_sites, blocks=tuple(blocks))
 
 
-def _basis_state(bits: int, sector: Sector) -> StateVector:
+def _basis_state(bits: int, sector: Sector) -> BlockState:
     amps = np.zeros(sector.dim, dtype=complex)
     amps[sector.index_of[bits]] = 1.0
-    return StateVector(amplitudes=amps, sector=sector)
+    return BlockState(n_sites=sector.n_sites, blocks=((sector, amps),))
 
 
-def neel(n_sites: int) -> StateVector:
+def neel(n_sites: int) -> BlockState:
     """Alternating occupation |1010...10>, leftmost site occupied, half filling."""
     if n_sites % 2:
         raise ValueError("alternating half filling needs an even number of sites")
@@ -83,7 +80,7 @@ def neel(n_sites: int) -> StateVector:
     return _basis_state(bits, enumerate_sector(n_sites, n_sites // 2))
 
 
-def max_incoherent(n_sites: int) -> StateVector:
+def max_incoherent(n_sites: int) -> BlockState:
     """All particles on the left half of the chain, |1...10...0>."""
     if n_sites % 2:
         raise ValueError("half filling needs an even number of sites")
@@ -91,7 +88,7 @@ def max_incoherent(n_sites: int) -> StateVector:
     return _basis_state(bits, enumerate_sector(n_sites, n_sites // 2))
 
 
-def max_coherent(n_sites: int) -> MultiSectorState:
+def max_coherent(n_sites: int) -> BlockState:
     """Uniform superposition of all 2^N occupation states.
 
     Mixes even and odd particle numbers, so it is not a physical fermionic
@@ -100,15 +97,15 @@ def max_coherent(n_sites: int) -> MultiSectorState:
     amp = 2.0 ** (-n_sites / 2.0)
     blocks = tuple(
         (sector, np.full(sector.dim, amp, dtype=complex))
-        for sector in full_space(n_sites).sectors
+        for sector in full_space(n_sites)
     )
-    return MultiSectorState(n_sites=n_sites, blocks=blocks)
+    return BlockState(n_sites=n_sites, blocks=blocks)
 
 
-def w_state(n_sites: int) -> StateVector:
+def w_state(n_sites: int) -> BlockState:
     """Uniform single-excitation superposition over all sites."""
     if n_sites < 1:
         raise ValueError("chain needs at least one site")
     sector = enumerate_sector(n_sites, 1)
     amps = np.full(sector.dim, 1.0 / sqrt(n_sites), dtype=complex)
-    return StateVector(amplitudes=amps, sector=sector)
+    return BlockState(n_sites=sector.n_sites, blocks=((sector, amps),))

@@ -3,12 +3,16 @@
 Everything here is deliberately independent of the package internals:
 states are occupation tuples, operators are applied one at a time with
 explicit anticommutation bookkeeping, density matrices are materialized,
-and sums run in plain Python loops.
+and sums run in plain Python loops. The one exception is `hop_sign`, the
+scalar form of the package's string-sign rule, kept here so the tests can
+check `sites_between_mask` hop by hop against operator application.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from chainquench.hilbert import sites_between_mask
 
 
 def occ_tuple(bits: int, n_sites: int) -> tuple[int, ...]:
@@ -37,6 +41,23 @@ def create(occ, site):
     new = list(occ)
     new[site - 1] = 1
     return tuple(new), sign
+
+
+def hop_sign(state: int, i: int, j: int) -> int:
+    """Sign of moving the particle on site i to the empty site j.
+
+    Reordering the creation operators back into site order crosses every
+    occupied site strictly between i and j once, so the sign is (-1) to
+    that count. Adjacent hops therefore always give +1.
+    """
+    if i == j:
+        raise ValueError("hop requires two distinct sites")
+    if not (state >> (i - 1)) & 1:
+        raise ValueError(f"site {i} is not occupied in state {state:#b}")
+    if (state >> (j - 1)) & 1:
+        raise ValueError(f"site {j} is already occupied in state {state:#b}")
+    crossed = state & sites_between_mask(i, j)
+    return -1 if crossed.bit_count() & 1 else 1
 
 
 def hop_amplitude(bits: int, src: int, dst: int, n_sites: int):

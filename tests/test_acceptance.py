@@ -31,7 +31,7 @@ from chainquench.quantifiers import (
     partial_trace,
     predictability_l1,
 )
-from chainquench.states import MultiSectorState, max_coherent, neel, w_state
+from chainquench.states import BlockState, max_coherent, neel, w_state
 
 from _oracles import (
     dense_hamiltonian,
@@ -101,7 +101,7 @@ def test_criterion_02_strict_cr_pure_states():
     worst = 0.0
     for i in range(1000):
         n = 1 + i % 8
-        state = MultiSectorState.from_dense(random_pure_state(rng, 1 << n), n)
+        state = BlockState.from_dense(random_pure_state(rng, 1 << n), n)
         trip = global_quantifiers(state)
         worst = max(worst, abs(trip.C + trip.P - 1.0))
         assert trip.E == 0.0
@@ -118,20 +118,19 @@ def test_criterion_03_small_chain_oracle_equivalence():
     params = ChainParams(n_sites=n, J=1.0, W=3.0, g=1.0)
     grid = default_time_grid(0.1, 1000.0, 10)
     psi0 = neel(n)
+    ((sector0, amps0),) = psi0.blocks
     scale_global = (1 << n) - 1
     worst = 0.0
     start = time.perf_counter()
     for k in range(20):
         eps = sample_disorder(n, realization_seed(MASTER_SEED, k))
-        spec = decompose(build_hamiltonian(params, eps, psi0.sector))
-        series = evolve_series(spec, psi0.amplitudes, grid.times)
+        spec = decompose(build_hamiltonian(params, eps, sector0))
+        series = evolve_series(spec, amps0, grid.times)
 
         dense_h = dense_hamiltonian(n, params.J, params.W, params.g, eps.epsilon)
         psi_dense0 = psi0.to_dense()
         for j, t in enumerate(grid.times):
-            from chainquench.states import StateVector
-
-            psi_t = StateVector(amplitudes=series[:, j], sector=psi0.sector)
+            psi_t = BlockState(n_sites=n, blocks=((sector0, series[:, j]),))
             vec = scipy.linalg.expm(-1j * dense_h * t) @ psi_dense0
             rho = np.outer(vec, vec.conj())
 
@@ -159,17 +158,16 @@ def test_criterion_03_small_chain_oracle_equivalence():
 
 def test_criterion_04_two_site_analytic():
     from chainquench.hilbert import enumerate_sector
-    from chainquench.states import StateVector
 
     sector = enumerate_sector(2, 1)
     params = ChainParams(n_sites=2, J=1.0, W=0.0, g=0.0)
     spec = decompose(build_hamiltonian(params, sample_disorder(2, 0), sector))
-    psi0 = StateVector(amplitudes=np.array([1.0 + 0j, 0.0]), sector=sector)
+    amps0 = np.array([1.0 + 0j, 0.0])
     grid = default_time_grid(0.1, 1000.0, 50)
-    series = evolve_series(spec, psi0.amplitudes, grid.times)
+    series = evolve_series(spec, amps0, grid.times)
     worst = 0.0
     for j, t in enumerate(grid.times):
-        trip = global_quantifiers(StateVector(amplitudes=series[:, j], sector=sector))
+        trip = global_quantifiers(BlockState(n_sites=2, blocks=((sector, series[:, j]),)))
         worst = max(worst, abs(trip.C - abs(np.sin(2 * t)) / 3.0))
         worst = max(worst, abs(trip.P - (1.0 - abs(np.sin(2 * t)) / 3.0)))
     ok = worst <= 1e-9
@@ -189,10 +187,7 @@ def test_criterion_05_conservation_suite():
     worst_norm = worst_energy = worst_number = 0.0
     for label, psi0, params in cases:
         eps = sample_disorder(params.n_sites, realization_seed(MASTER_SEED, 0))
-        if isinstance(psi0, MultiSectorState):
-            blocks = psi0.blocks
-        else:
-            blocks = ((psi0.sector, psi0.amplitudes),)
+        blocks = psi0.blocks
         series = []
         h_norm = 0.0
         e0_total = 0.0

@@ -145,6 +145,21 @@ def test_fit_missing_column(tmp_path):
     assert main(["fit", str(path), "--quantity", "P"]) == 2
 
 
+def test_fit_rejects_nan_trajectory(tmp_path, capsys):
+    # every value cell NaN, as a run whose numerics broke down would write it
+    path = tmp_path / "nan.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "C_mean", "C_sem", "P_mean", "P_sem", "E_mean", "E_sem"])
+        for t in np.logspace(-1, 3, 61):
+            writer.writerow([repr(float(t))] + ["nan"] * 6)
+    assert main(["fit", str(path), "--quantity", "P"]) == 2
+    assert capsys.readouterr().out == ""
+    # NaN times leave no fit window: still bad input
+    _write_synthetic_csv(path, np.full(61, np.nan), np.full(61, 0.5))
+    assert main(["fit", str(path), "--quantity", "P"]) == 2
+
+
 def test_fit_on_generated_localized_run(tmp_path, capsys):
     # end to end: strong disorder, no interaction -> late-time P saturates
     cfg = _write_config(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainquench.detect import FitResult, FitWindow, classify, fit_log, last_decade
+from chainquench.detect import FitWindow, _label, fit_log, last_decade
 
 
 class _Traj:
@@ -70,14 +70,25 @@ def test_label_invariant_under_rescaling():
 
 
 def test_classify_rules():
-    fit = FitResult(a=0.5, b=1e-6, b_stderr=0.0, rms_residual=0.0, label="", n_points=10)
-    assert classify(fit, abs_tol=1e-4, sig=3.0) == "Saturated"
-    fit = FitResult(a=0.5, b=0.02, b_stderr=0.001, rms_residual=0.0, label="", n_points=10)
-    assert classify(fit, abs_tol=1e-4, sig=3.0) == "LogDecay"
-    fit = FitResult(a=0.5, b=-0.02, b_stderr=0.001, rms_residual=0.0, label="", n_points=10)
-    assert classify(fit, abs_tol=1e-4, sig=3.0) == "LogGrowth"
-    fit = FitResult(a=0.5, b=0.002, b_stderr=0.01, rms_residual=0.0, label="", n_points=10)
-    assert classify(fit, abs_tol=1e-4, sig=3.0) == "Saturated"  # not significant
+    assert _label(1e-6, 0.0, abs_tol=1e-4, sig=3.0) == "Saturated"
+    assert _label(0.02, 0.001, abs_tol=1e-4, sig=3.0) == "LogDecay"
+    assert _label(-0.02, 0.001, abs_tol=1e-4, sig=3.0) == "LogGrowth"
+    assert _label(0.002, 0.01, abs_tol=1e-4, sig=3.0) == "Saturated"  # not significant
+
+
+def test_non_finite_data_in_window_rejected():
+    times = _grid()
+    y = np.full_like(times, 0.5)
+    y[-1] = np.nan
+    with pytest.raises(ValueError):
+        fit_log(_Traj(times, y), "P", last_decade(times))
+    y[-1] = np.inf
+    with pytest.raises(ValueError):
+        fit_log(_Traj(times, y), "P", last_decade(times))
+    # values outside the window do not enter the fit
+    y[-1] = 0.5
+    y[0] = np.nan
+    assert fit_log(_Traj(times, y), "P", last_decade(times)).label == "Saturated"
 
 
 def test_window_validation():

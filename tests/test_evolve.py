@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chainquench.evolve import (
-    decompose,
-    default_time_grid,
-    evolve_multisector,
-    evolve_state,
-)
+from chainquench.evolve import decompose, default_time_grid, evolve_series, evolve_state
 from chainquench.hamiltonian import ChainParams, HamiltonianMatrix, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
-from chainquench.states import StateVector, max_coherent, neel
+from chainquench.states import BlockState, max_coherent, neel
 
 from _oracles import dense_hamiltonian, random_pure_state
 
@@ -47,7 +42,12 @@ def test_decompose_reconstructs():
 
 
 def _random_sector_state(rng, sector):
-    return StateVector(amplitudes=random_pure_state(rng, sector.dim), sector=sector)
+    return BlockState(n_sites=sector.n_sites, blocks=((sector, random_pure_state(rng, sector.dim)),))
+
+
+def _amps(state):
+    ((_, amps),) = state.blocks
+    return amps
 
 
 def test_evolve_at_zero_is_identity():
@@ -56,19 +56,19 @@ def test_evolve_at_zero_is_identity():
     params = ChainParams(n_sites=6, J=1.0, W=3.0, g=1.0)
     spec = decompose(build_hamiltonian(params, sample_disorder(6, 2), sector))
     psi0 = _random_sector_state(rng, sector)
-    psi_t = evolve_state(spec, psi0, 0.0)
-    np.testing.assert_allclose(psi_t.amplitudes, psi0.amplitudes, atol=1e-12)
+    psi_t = evolve_state([spec], psi0, 0.0)
+    np.testing.assert_allclose(_amps(psi_t), _amps(psi0), atol=1e-12)
 
 
 def test_two_site_rabi_amplitudes():
     sector = enumerate_sector(2, 1)
     params = ChainParams(n_sites=2, J=1.0, W=0.0, g=0.0)
     spec = decompose(build_hamiltonian(params, sample_disorder(2, 0), sector))
-    psi0 = StateVector(amplitudes=np.array([1.0 + 0.0j, 0.0]), sector=sector)
+    psi0 = BlockState(n_sites=2, blocks=((sector, np.array([1.0 + 0.0j, 0.0])),))
     for t in np.linspace(0.0, 12.0, 50):
-        psi_t = evolve_state(spec, psi0, float(t))
-        np.testing.assert_allclose(psi_t.amplitudes[0], np.cos(t), atol=1e-12)
-        np.testing.assert_allclose(psi_t.amplitudes[1], -1j * np.sin(t), atol=1e-12)
+        amps = _amps(evolve_state([spec], psi0, float(t)))
+        np.testing.assert_allclose(amps[0], np.cos(t), atol=1e-12)
+        np.testing.assert_allclose(amps[1], -1j * np.sin(t), atol=1e-12)
 
 
 def test_energy_and_norm_conserved():
@@ -78,12 +78,12 @@ def test_energy_and_norm_conserved():
     H = build_hamiltonian(params, sample_disorder(8, 77), sector)
     spec = decompose(H)
     psi0 = _random_sector_state(rng, sector)
-    e0 = np.real(psi0.amplitudes.conj() @ H.entries @ psi0.amplitudes)
+    e0 = np.real(_amps(psi0).conj() @ H.entries @ _amps(psi0))
     scale = np.linalg.norm(H.entries, 2)
     for t in (0.5, 10.0, 100.0):
-        psi_t = evolve_state(spec, psi0, t)
+        psi_t = evolve_state([spec], psi0, t)
         assert abs(psi_t.norm2() - 1.0) < 1e-10
-        e_t = np.real(psi_t.amplitudes.conj() @ H.entries @ psi_t.amplitudes)
+        e_t = np.real(_amps(psi_t).conj() @ H.entries @ _amps(psi_t))
         assert abs(e_t - e0) < 1e-8 * scale
 
 
@@ -93,9 +93,9 @@ def test_composition():
     params = ChainParams(n_sites=6, J=1.0, W=2.0, g=0.5)
     spec = decompose(build_hamiltonian(params, sample_disorder(6, 4), sector))
     psi0 = _random_sector_state(rng, sector)
-    one_shot = evolve_state(spec, psi0, 7.5)
-    two_step = evolve_state(spec, evolve_state(spec, psi0, 3.0), 4.5)
-    np.testing.assert_allclose(one_shot.amplitudes, two_step.amplitudes, atol=1e-9)
+    one_shot = evolve_state([spec], psi0, 7.5)
+    two_step = evolve_state([spec], evolve_state([spec], psi0, 3.0), 4.5)
+    np.testing.assert_allclose(_amps(one_shot), _amps(two_step), atol=1e-9)
 
 
 def _multisector_specs(params, eps, state):
@@ -103,17 +103,16 @@ def _multisector_specs(params, eps, state):
 
 
 def test_multisector_single_block_matches_evolve_state():
+    # a time array gives time-major blocks whose rows are the one-time states
     psi = neel(4)
     params = ChainParams(n_sites=4, J=1.0, W=2.0, g=1.0)
-    eps = sample_disorder(4, 3)
-    spec = decompose(build_hamiltonian(params, eps, psi.sector))
-    from chainquench.states import MultiSectorState
-
-    multi = MultiSectorState(n_sites=4, blocks=((psi.sector, psi.amplitudes),))
-    out = evolve_multisector([spec], multi, 2.0)
-    np.testing.assert_allclose(
-        out.blocks[0][1], evolve_state(spec, psi, 2.0).amplitudes, atol=1e-14
-    )
+    specs = _multisector_specs(params, sample_disorder(4, 3), psi)
+    times = default_time_grid(0.1, 100.0, 7).times
+    grid_amps = _amps(evolve_state(specs, psi, times))
+    assert grid_amps.shape == (7, 6) and grid_amps.flags.c_contiguous
+    np.testing.assert_array_equal(grid_amps.T, evolve_series(specs[0], _amps(psi), times))
+    for j, t in enumerate(times):
+        np.testing.assert_allclose(grid_amps[j], _amps(evolve_state(specs, psi, t)), atol=1e-14)
 
 
 def test_multisector_against_dense_propagator():
@@ -122,7 +121,7 @@ def test_multisector_against_dense_propagator():
     params = ChainParams(n_sites=n, J=1.0, W=4.0, g=1.0)
     eps = sample_disorder(n, 55)
     specs = _multisector_specs(params, eps, psi0)
-    evolved = evolve_multisector(specs, psi0, 1.0)
+    evolved = evolve_state(specs, psi0, 1.0)
 
     full = dense_hamiltonian(n, params.J, params.W, params.g, eps.epsilon)
     expected = scipy.linalg.expm(-1j * full * 1.0) @ psi0.to_dense()
@@ -137,7 +136,7 @@ def test_multisector_block_weights_constant():
     specs = _multisector_specs(params, sample_disorder(n, 8), psi0)
     w0 = [np.sum(np.abs(a) ** 2) for _, a in psi0.blocks]
     for t in (0.1, 1.0, 100.0):
-        evolved = evolve_multisector(specs, psi0, t)
+        evolved = evolve_state(specs, psi0, t)
         w_t = [np.sum(np.abs(a) ** 2) for _, a in evolved.blocks]
         np.testing.assert_allclose(w_t, w0, atol=1e-10)
 
@@ -147,7 +146,7 @@ def test_multisector_missing_block_rejected():
     params = ChainParams(n_sites=3, J=1.0, W=1.0, g=0.0)
     specs = _multisector_specs(params, sample_disorder(3, 1), psi0)
     with pytest.raises(ValueError):
-        evolve_multisector(specs[:-1], psi0, 1.0)
+        evolve_state(specs[:-1], psi0, 1.0)
 
 
 def test_default_time_grid_log_spacing():
@@ -170,6 +169,8 @@ def test_negative_time_rejected():
     sector = enumerate_sector(2, 1)
     params = ChainParams(n_sites=2)
     spec = decompose(build_hamiltonian(params, sample_disorder(2, 0), sector))
-    psi0 = StateVector(amplitudes=np.array([1.0 + 0j, 0.0]), sector=sector)
+    psi0 = BlockState(n_sites=2, blocks=((sector, np.array([1.0 + 0j, 0.0])),))
     with pytest.raises(ValueError):
-        evolve_state(spec, psi0, -1.0)
+        evolve_state([spec], psi0, -1.0)
+    with pytest.raises(ValueError):
+        evolve_state([spec], psi0, np.array([1.0, -1.0]))

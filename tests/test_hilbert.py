@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from chainquench.hilbert import enumerate_sector, full_space, hop_sign
+from chainquench.hilbert import enumerate_sector, full_space
 
-from _oracles import hop_amplitude
+from _oracles import hop_amplitude, hop_sign
 
 
 def test_enumerate_4_choose_2():
@@ -32,9 +32,10 @@ def test_index_map_is_exact_inverse():
 
 
 def test_full_space_covers_everything():
-    space = full_space(6)
-    assert sum(sec.dim for sec in space.sectors) == 64
-    seen = sorted(int(s) for sec in space.sectors for s in sec.states)
+    sectors = full_space(6)
+    assert [sec.n_particles for sec in sectors] == list(range(7))
+    assert sum(sec.dim for sec in sectors) == 64
+    seen = sorted(int(s) for sec in sectors for s in sec.states)
     assert seen == list(range(64))
 
 

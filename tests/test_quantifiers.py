@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainquench.evolve import decompose, evolve_state
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
@@ -13,7 +15,7 @@ from chainquench.quantifiers import (
     partial_trace,
     predictability_l1,
 )
-from chainquench.states import MultiSectorState, StateVector, max_coherent, neel
+from chainquench.states import BlockState, max_coherent, neel
 
 from _oracles import (
     dense_partial_trace,
@@ -99,9 +101,9 @@ def test_global_two_site_analytic():
     sector = enumerate_sector(2, 1)
     params = ChainParams(n_sites=2, J=1.0, W=0.0, g=0.0)
     spec = decompose(build_hamiltonian(params, sample_disorder(2, 0), sector))
-    psi0 = StateVector(amplitudes=np.array([1.0 + 0j, 0.0]), sector=sector)
+    psi0 = BlockState(n_sites=2, blocks=((sector, np.array([1.0 + 0j, 0.0])),))
     for t in np.linspace(0.05, 8.0, 40):
-        trip = global_quantifiers(evolve_state(spec, psi0, float(t)))
+        trip = global_quantifiers(evolve_state([spec], psi0, float(t)))
         assert trip.C == pytest.approx(abs(np.sin(2 * t)) / 3.0, abs=1e-12)
         assert trip.P == pytest.approx(1.0 - abs(np.sin(2 * t)) / 3.0, abs=1e-12)
 
@@ -110,7 +112,7 @@ def test_global_shortcut_equals_dense_rho():
     rng = np.random.default_rng(23)
     for n in (2, 4, 6):
         vec = random_pure_state(rng, 1 << n)
-        state = MultiSectorState.from_dense(vec, n)
+        state = BlockState.from_dense(vec, n)
         trip = global_quantifiers(state)
         ref_c, ref_p, _ = quantifiers_from_rho(np.outer(vec, vec.conj()))
         scale = (1 << n) - 1
@@ -121,7 +123,7 @@ def test_global_shortcut_equals_dense_rho():
 
 def test_global_rejects_unnormalized():
     sector = enumerate_sector(3, 1)
-    bad = StateVector(amplitudes=np.array([1.0, 1.0, 0.0], dtype=complex), sector=sector)
+    bad = BlockState(n_sites=3, blocks=((sector, np.array([1.0, 1.0, 0.0], dtype=complex)),))
     with pytest.raises(ValueError):
         global_quantifiers(bad)
 
@@ -130,31 +132,28 @@ def test_partial_trace_product_state():
     rho = partial_trace(neel(4), [1, 2])
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0  # window (1, 0): site 1 occupied, site 2 empty
-    np.testing.assert_allclose(rho.entries, expected, atol=1e-15)
-    assert rho.sites == (1, 2)
+    np.testing.assert_allclose(rho, expected, atol=1e-15)
 
 
 def test_partial_trace_bell_pair():
     sector = enumerate_sector(2, 1)
-    psi = StateVector(
-        amplitudes=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), sector=sector
-    )
-    rho = partial_trace(psi, [1])
-    np.testing.assert_allclose(rho.entries, np.eye(2) / 2.0, atol=1e-15)
+    amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    rho = partial_trace(BlockState(n_sites=2, blocks=((sector, amps),)), [1])
+    np.testing.assert_allclose(rho, np.eye(2) / 2.0, atol=1e-15)
 
 
 def test_partial_trace_matches_dense_oracle():
     rng = np.random.default_rng(37)
     sector = enumerate_sector(6, 3)
-    psi = StateVector(amplitudes=random_pure_state(rng, sector.dim), sector=sector)
+    psi = BlockState(n_sites=6, blocks=((sector, random_pure_state(rng, sector.dim)),))
     rho = partial_trace(psi, [3, 4])
     ref = dense_partial_trace(psi.to_dense(), 6, [3, 4])
-    np.testing.assert_allclose(rho.entries, ref, atol=1e-12)
-    assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
+    np.testing.assert_allclose(rho, ref, atol=1e-12)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
 
-    multi = MultiSectorState.from_dense(random_pure_state(rng, 64), 6)
+    multi = BlockState.from_dense(random_pure_state(rng, 64), 6)
     for window in ([1, 2], [2, 3, 4], [5, 6], [1]):
-        got = partial_trace(multi, window).entries
+        got = partial_trace(multi, window)
         ref = dense_partial_trace(multi.to_dense(), 6, window)
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
@@ -173,7 +172,7 @@ def test_partial_trace_rejects_bad_windows():
 
 def test_local_full_window_equals_global():
     rng = np.random.default_rng(41)
-    state = MultiSectorState.from_dense(random_pure_state(rng, 32), 5)
+    state = BlockState.from_dense(random_pure_state(rng, 32), 5)
     loc = local_quantifiers(state, 5)
     glo = global_quantifiers(state)
     assert loc.C == pytest.approx(glo.C, abs=1e-12)
@@ -191,7 +190,7 @@ def test_local_neel_windows_are_classical():
 def test_local_matches_dense_window_average():
     rng = np.random.default_rng(43)
     vec = random_pure_state(rng, 16)
-    state = MultiSectorState.from_dense(vec, 4)
+    state = BlockState.from_dense(vec, 4)
     trip = local_quantifiers(state, 2)
     c = p = e = 0.0
     for first in (1, 2, 3):
@@ -225,3 +224,48 @@ def test_measurement_cost_rejects_bad_input():
         measurement_cost(0, "P")
     with pytest.raises(ValueError):
         measurement_cost(4, "visibility")
+
+
+def _random_state_over_time(rng, n, n_times, n_particles):
+    """Rows normalized one by one; n_particles=None spreads over every sector."""
+    dim = 1 << n if n_particles is None else enumerate_sector(n, n_particles).dim
+    rows = rng.standard_normal((n_times, dim)) + 1j * rng.standard_normal((n_times, dim))
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    if n_particles is None:
+        return BlockState.from_dense(rows, n)
+    return BlockState(n_sites=n, blocks=((enumerate_sector(n, n_particles), rows),))
+
+
+@st.composite
+def _states_over_time(draw):
+    n = draw(st.integers(1, 8))
+    n_particles = draw(st.one_of(st.none(), st.integers(0, n)))
+    n_times = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _random_state_over_time(rng, n, n_times, n_particles)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_states_over_time())
+def test_time_axis_changes_no_bits(psi):
+    """A time-major state gives exactly the stacked results of its time slices."""
+    (n_times,) = psi.time_shape
+    slices = [
+        BlockState(n_sites=psi.n_sites, blocks=tuple((s, a[j]) for s, a in psi.blocks))
+        for j in range(n_times)
+    ]
+
+    def assert_stacked(batched, per_time):
+        for field in ("C", "P", "E"):
+            want = np.array([getattr(trip, field) for trip in per_time])
+            got = np.broadcast_to(getattr(batched, field), want.shape)
+            assert np.array_equal(got, want), field
+
+    assert_stacked(global_quantifiers(psi), [global_quantifiers(p) for p in slices])
+    for n in range(1, psi.n_sites + 1):
+        assert_stacked(local_quantifiers(psi, n), [local_quantifiers(p, n) for p in slices])
+        window = range(psi.n_sites - n + 1, psi.n_sites + 1)
+        rho = partial_trace(psi, window)
+        assert np.array_equal(rho, np.stack([partial_trace(p, window) for p in slices]))
+        for quantifier in (coherence_l1, predictability_l1, entanglement_l1):
+            assert np.array_equal(quantifier(rho), np.stack([quantifier(r) for r in rho]))

@@ -2,23 +2,24 @@ import numpy as np
 import pytest
 
 from chainquench.quantifiers import global_quantifiers
-from chainquench.states import MultiSectorState, max_coherent, max_incoherent, neel, w_state
+from chainquench.states import BlockState, max_coherent, max_incoherent, neel, w_state
 
 from _oracles import quantifiers_from_rho, random_pure_state
 
 
 def test_neel_pattern():
     psi = neel(4)
-    assert psi.sector.n_particles == 2
-    hot = int(psi.sector.states[np.flatnonzero(psi.amplitudes)[0]])
+    ((sector, amps),) = psi.blocks
+    assert sector.n_particles == 2
+    hot = int(sector.states[np.flatnonzero(amps)[0]])
     assert hot == 0b0101  # sites 1 and 3 occupied
     assert psi.norm2() == 1.0
 
 
 def test_neel_large_is_one_hot():
-    psi = neel(12)
-    assert psi.sector.dim == 924
-    assert np.count_nonzero(psi.amplitudes) == 1
+    ((sector, amps),) = neel(12).blocks
+    assert sector.dim == 924
+    assert np.count_nonzero(amps) == 1
 
 
 def test_neel_odd_rejected():
@@ -28,7 +29,8 @@ def test_neel_odd_rejected():
 
 def test_max_incoherent_pattern():
     psi = max_incoherent(4)
-    hot = int(psi.sector.states[np.flatnonzero(psi.amplitudes)[0]])
+    ((sector, amps),) = psi.blocks
+    hot = int(sector.states[np.flatnonzero(amps)[0]])
     assert hot == 0b0011  # sites 1 and 2 occupied
     trip = global_quantifiers(psi)
     assert trip.C == pytest.approx(0.0, abs=1e-12)
@@ -68,15 +70,15 @@ def test_w_state_quantifiers_against_dense_rho():
 
 
 def test_w_state_single_particle_sector():
-    psi = w_state(6)
-    assert psi.sector.n_particles == 1
-    np.testing.assert_allclose(np.abs(psi.amplitudes), 1.0 / np.sqrt(6.0), atol=1e-15)
+    ((sector, amps),) = w_state(6).blocks
+    assert sector.n_particles == 1
+    np.testing.assert_allclose(np.abs(amps), 1.0 / np.sqrt(6.0), atol=1e-15)
 
 
 def test_from_dense_roundtrip():
     rng = np.random.default_rng(21)
     vec = random_pure_state(rng, 1 << 5)
-    state = MultiSectorState.from_dense(vec, 5)
+    state = BlockState.from_dense(vec, 5)
     np.testing.assert_allclose(state.to_dense(), vec, atol=1e-15)
     counts = [sector.n_particles for sector, _ in state.blocks]
     assert counts == sorted(set(counts))
@@ -84,4 +86,4 @@ def test_from_dense_roundtrip():
 
 def test_from_dense_rejects_bad_length():
     with pytest.raises(ValueError):
-        MultiSectorState.from_dense(np.ones(7), 3)
+        BlockState.from_dense(np.ones(7), 3)

@@ -1,7 +1,8 @@
 """Command-line front end: run experiments, sweep parameters, fit, count costs.
 
 Outputs are a trajectory CSV per run plus a JSON manifest that echoes the
-full resolved configuration, enough to regenerate the CSV bit for bit.
+full resolved configuration and the numeric environment (numpy, BLAS and
+thread counts), enough to regenerate the CSV bit for bit.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .blas import openblas
 from .detect import DEFAULT_ABS_TOL, DEFAULT_SIG, FitWindow, fit_log, last_decade
 from .evolve import default_time_grid
 from .experiment import (
@@ -29,7 +32,7 @@ from .hamiltonian import ChainParams
 from .quantifiers import measurement_cost
 
 CSV_HEADER = ["t", "C_mean", "C_sem", "P_mean", "P_sem", "E_mean", "E_sem"]
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
 
 _CONFIG_KEYS = {
     "n_sites",
@@ -145,6 +148,7 @@ def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
 
 
 def write_manifest(path: Path, record: TrajectoryRecord, csv_name: str) -> None:
+    blas = openblas()
     manifest = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "tool": "chainquench",
@@ -155,6 +159,14 @@ def write_manifest(path: Path, record: TrajectoryRecord, csv_name: str) -> None:
         "config": config_to_dict(record.config),
         "realization_seeds": list(record.seeds),
         "warnings": list(record.warnings),
+        "environment": {
+            "numpy": np.__version__,
+            "blas_library": blas.library if blas else None,
+            "blas_config": blas.config if blas else None,
+            "cpu_count": os.cpu_count(),
+            "workers": record.workers,
+            "blas_threads": record.blas_threads,
+        },
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -183,12 +195,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not w_values or not g_values:
         raise ConfigError("sweep needs nonempty W_values and g_values lists")
     base = parse_config(raw, seed_override=args.seed)
-    records = run_sweep(base, [float(w) for w in w_values], [float(g) for g in g_values],
-                        n_workers=args.threads)
-    out_dir = Path(args.out_dir)
-    for record in records:
-        chain = record.config.chain
-        _emit(record, out_dir, f"traj_W{chain.W:g}_g{chain.g:g}")
+    w_values, g_values = [float(w) for w in w_values], [float(g) for g in g_values]
+    stems = [f"traj_W{w:g}_g{g:g}" for w in w_values for g in g_values]
+    clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if clashes:
+        raise ConfigError(f"W_values/g_values give more than one cell the output name {clashes}")
+    records = run_sweep(base, w_values, g_values, n_workers=args.threads)
+    for record, stem in zip(records, stems):
+        _emit(record, Path(args.out_dir), stem)
     return 0
 
 
@@ -247,6 +261,16 @@ def cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainquench",
@@ -258,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_exec_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+        p.add_argument("--threads", type=_worker_count, default=1,
+                       help="number of realization workers (default 1); with 2 or more, "
+                       "each worker uses one BLAS thread")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
 
     p_run = sub.add_parser("run", help="single disorder-averaged experiment")

@@ -4,7 +4,10 @@ For each realization: draw on-site energies, build and diagonalize the
 sector Hamiltonian(s), evolve the chosen initial state over the time
 grid, and evaluate the quantifier triple at every time. Realizations are
 independent and may run on worker threads; aggregation always folds them
-in realization-index order, so results do not depend on the worker count.
+in realization-index order. A worker pool pins OpenBLAS to one thread, so
+runs with two or more workers are bit-identical to each other. A serial run
+keeps the library's default BLAS threads; its `eigh` bits, and so the
+results, can differ from a pooled run's in the last digits.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .blas import blas_threads, one_blas_thread
 from .evolve import TimeGrid, decompose, default_time_grid, evolve_series
 from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from .quantifiers import global_quantifiers, local_quantifiers
@@ -88,6 +92,8 @@ class TrajectoryRecord:
     config: ExperimentConfig | None
     seeds: tuple[int, ...]
     warnings: tuple[str, ...]
+    workers: int = 1
+    blas_threads: int | None = None  # OpenBLAS threads during compute; None if unknown
 
 
 def realization_seed(master_seed: int, index: int) -> int:
@@ -116,12 +122,19 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
 
 
 def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRecord:
-    """Run all realizations and aggregate disorder statistics."""
+    """Run all realizations and aggregate disorder statistics.
+
+    With n_workers > 1 the realizations run on a thread pool, each worker's
+    BLAS calls on one thread.
+    """
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     indices = range(config.realizations)
     if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with one_blas_thread() as threads, ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(lambda k: _single_trajectory(config, k), indices))
     else:
+        threads = blas_threads()
         results = [_single_trajectory(config, k) for k in indices]
 
     seeds = tuple(seed for seed, _ in results)
@@ -144,6 +157,8 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRe
         config=config,
         seeds=seeds,
         warnings=config.warnings(),
+        workers=n_workers,
+        blas_threads=threads,
     )
 
 

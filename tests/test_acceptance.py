@@ -42,6 +42,8 @@ from _oracles import (
 )
 
 MASTER_SEED = 20240301
+# worker pool of the heavy sweeps; each worker runs eigh on one BLAS thread
+WORKERS = 2
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -64,7 +66,7 @@ def fig2_records():
         realizations=50,
         master_seed=MASTER_SEED,
     )
-    rec_al, rec_mbl = run_sweep(base, [2.0], [0.0, 1.0])
+    rec_al, rec_mbl = run_sweep(base, [2.0], [0.0, 1.0], n_workers=WORKERS)
     return rec_al, rec_mbl
 
 
@@ -221,7 +223,7 @@ def test_criterion_06_w_state_interaction_independence():
         realizations=10,
         master_seed=MASTER_SEED,
     )
-    rec0, rec1 = run_sweep(base, [10.0], [0.0, 1.0])
+    rec0, rec1 = run_sweep(base, [10.0], [0.0, 1.0], n_workers=WORKERS)
     gap = max(
         float(np.max(np.abs(rec0.c_mean - rec1.c_mean))),
         float(np.max(np.abs(rec0.p_mean - rec1.p_mean))),
@@ -243,7 +245,7 @@ def test_criterion_07_weak_disorder_classification():
         realizations=50,
         master_seed=MASTER_SEED,
     )
-    rec_al, rec_mbl = run_sweep(base, [2.0], [0.0, 1.0])
+    rec_al, rec_mbl = run_sweep(base, [2.0], [0.0, 1.0], n_workers=WORKERS)
     window = last_decade(rec_al.times)
     fit_al = fit_log(rec_al, "P", window)
     fit_mbl = fit_log(rec_mbl, "P", window)
@@ -276,7 +278,7 @@ def test_criterion_08_robustness_across_disorder():
         realizations=25,
         master_seed=MASTER_SEED,
     )
-    records = run_sweep(base, [6.0, 10.0], [0.0, 1.0])
+    records = run_sweep(base, [6.0, 10.0], [0.0, 1.0], n_workers=WORKERS)
     outcomes = []
     for rec in records:
         fit = fit_log(rec, "P", last_decade(rec.times))
@@ -306,7 +308,7 @@ def test_criterion_09_bipartite_cancellation():
         realizations=50,
         master_seed=MASTER_SEED,
     )
-    record = run_experiment(config)
+    record = run_experiment(config, n_workers=WORKERS)
     window = last_decade(record.times)
     fits = {q: fit_log(record, q, window) for q in ("C", "P", "E")}
     ok = abs(fits["P"].b) < abs(fits["C"].b) and abs(fits["P"].b) < abs(fits["E"].b)

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from chainquench.cli import main
+from chainquench.blas import blas_threads, openblas
+from chainquench.cli import MANIFEST_FORMAT_VERSION, main
 
 BASE_CONFIG = {
     "n_sites": 6,
@@ -46,6 +47,10 @@ def test_run_writes_csv_and_manifest(tmp_path):
     assert manifest["master_seed"] == 7
     assert manifest["csv"] == "trajectory.csv"
     assert len(manifest["realization_seeds"]) == 2
+    assert manifest["format_version"] == MANIFEST_FORMAT_VERSION == 2
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["workers"] == 1 and env["blas_threads"] == blas_threads()
 
 
 def test_run_is_byte_reproducible(tmp_path):
@@ -54,6 +59,28 @@ def test_run_is_byte_reproducible(tmp_path):
     assert main(["run", "--config", str(cfg), "--out-dir", str(out1)]) == 0
     assert main(["run", "--config", str(cfg), "--out-dir", str(out2), "--threads", "2"]) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+def test_pooled_run_records_one_blas_thread(tmp_path):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--threads", "2"]) == 0
+    env = json.loads((out / "trajectory.manifest.json").read_text())["environment"]
+    blas = openblas()
+    assert env["workers"] == 2
+    assert env["blas_threads"] == (1 if blas else None)
+    assert env["blas_library"] == (blas.library if blas else None)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_threads_below_one_rejected(tmp_path, command, capsys):
+    cfg = _write_config(tmp_path, W_values=[2], g_values=[0])
+    for threads in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_odd_chain_for_neel(tmp_path):
@@ -106,6 +133,15 @@ def test_sweep_requires_value_lists(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     cfg = _write_config(tmp_path, name="c2.json")
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+
+def test_sweep_rejects_colliding_output_names(tmp_path):
+    # [1, 1] repeats a cell; 0.1234567 and 0.1234568 differ but print alike under :g
+    for w_values in ([1, 1], [0.1234567, 0.1234568]):
+        cfg = _write_config(tmp_path, W_values=w_values, g_values=[0, 1], realizations=1)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 def _write_synthetic_csv(path, times, values):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from chainquench import experiment
+from chainquench.blas import blas_threads, one_blas_thread, openblas
 from chainquench.evolve import default_time_grid
 from chainquench.experiment import (
     make_default_config,
@@ -48,6 +50,56 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(serial.c_mean, threaded.c_mean)
     assert np.array_equal(serial.e_mean, threaded.e_mean)
     assert serial.seeds == threaded.seeds
+
+
+# N=10 (D=252) is the smallest Neel sector whose eigh bits change between one
+# and two BLAS threads on a 2-core OpenBLAS host
+needs_openblas = pytest.mark.skipif(openblas() is None, reason="OpenBLAS not found")
+
+
+def _fields(record):
+    return (record.c_mean, record.c_sem, record.p_mean, record.p_sem, record.e_mean, record.e_sem)
+
+
+@needs_openblas
+def test_pooled_run_equals_serial_run_on_one_blas_thread():
+    config = _small_config(n_sites=10, realizations=2)
+    with one_blas_thread():
+        serial = run_experiment(config)
+    pooled = run_experiment(config, n_workers=2)
+    assert serial.blas_threads == pooled.blas_threads == 1
+    for a, b in zip(_fields(serial), _fields(pooled)):
+        assert np.array_equal(a, b)
+
+
+def test_pooled_run_close_to_default_serial_run():
+    config = _small_config(n_sites=10, realizations=2)
+    serial = run_experiment(config)
+    pooled = run_experiment(config, n_workers=2)
+    assert (serial.workers, pooled.workers) == (1, 2)
+    for a, b in zip(_fields(serial), _fields(pooled)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@needs_openblas
+def test_blas_pin_restored_when_a_realization_raises(monkeypatch):
+    before = blas_threads()
+    seen = []
+
+    def failing(*args):
+        seen.append(blas_threads())
+        raise RuntimeError("realization failed")
+
+    monkeypatch.setattr(experiment, "global_quantifiers", failing)
+    with pytest.raises(RuntimeError, match="realization failed"):
+        run_experiment(_small_config(n_sites=10, realizations=2), n_workers=2)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == before
+
+
+def test_worker_count_below_one_rejected():
+    with pytest.raises(ValueError):
+        run_experiment(_small_config(realizations=1), n_workers=0)
 
 
 def test_averaged_ccr_global():

@@ -18,13 +18,7 @@ from .experiment import (
     run_experiment,
     run_sweep,
 )
-from .hamiltonian import (
-    ChainParams,
-    DisorderRealization,
-    HamiltonianMatrix,
-    build_hamiltonian,
-    sample_disorder,
-)
+from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from .hilbert import Sector, enumerate_sector, full_space
 from .quantifiers import (
     QuantifierTriple,
@@ -41,11 +35,9 @@ from .states import BlockState, max_coherent, max_incoherent, neel, w_state
 __all__ = [
     "BlockState",
     "ChainParams",
-    "DisorderRealization",
     "ExperimentConfig",
     "FitResult",
     "FitWindow",
-    "HamiltonianMatrix",
     "QuantifierTriple",
     "Sector",
     "SpectralDecomposition",

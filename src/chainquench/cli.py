@@ -61,6 +61,15 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
+def _integer(key: str, value) -> int:
+    """A JSON integer, or a float with an integral value; bools are not integers."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config_file(path: str | Path) -> dict:
     try:
         with open(path) as fh:
@@ -85,24 +94,25 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         grid = default_time_grid(
             t_min=float(grid_raw.get("t_min", 0.1)),
             t_max=float(grid_raw.get("t_max", 1000.0)),
-            n_points=int(grid_raw.get("n_points", 61)),
+            n_points=_integer("n_points", grid_raw.get("n_points", 61)),
         )
         chain = ChainParams(
-            n_sites=int(_require(raw, "n_sites")),
+            n_sites=_integer("n_sites", _require(raw, "n_sites")),
             J=float(raw.get("J", 1.0)),
             W=float(raw.get("W", 0.0)),
             g=float(raw.get("g", 0.0)),
             boundary=str(raw.get("boundary", "open")),
         )
         window = raw.get("window")
+        seed = seed_override if seed_override is not None else _require(raw, "master_seed")
         config = ExperimentConfig(
             chain=chain,
             initial_state=str(_require(raw, "initial_state")),
             grid=grid,
-            realizations=int(_require(raw, "realizations")),
-            master_seed=int(seed_override if seed_override is not None else _require(raw, "master_seed")),
+            realizations=_integer("realizations", _require(raw, "realizations")),
+            master_seed=_integer("master_seed", seed),
             mode=str(raw.get("mode", "global")),
-            window=None if window is None else int(window),
+            window=None if window is None else _integer("window", window),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -195,7 +205,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not w_values or not g_values:
         raise ConfigError("sweep needs nonempty W_values and g_values lists")
     base = parse_config(raw, seed_override=args.seed)
-    w_values, g_values = [float(w) for w in w_values], [float(g) for g in g_values]
+    try:
+        w_values, g_values = [float(w) for w in w_values], [float(g) for g in g_values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"W_values and g_values must hold numbers: {exc}") from exc
     stems = [f"traj_W{w:g}_g{g:g}" for w in w_values for g in g_values]
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:

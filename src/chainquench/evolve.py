@@ -8,12 +8,9 @@ long times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .hamiltonian import HamiltonianMatrix
-from .hilbert import Sector
 from .states import BlockState
 
 
@@ -23,7 +20,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sector: Sector
 
     @property
     def dim(self) -> int:
@@ -62,18 +58,16 @@ def default_time_grid(t_min: float = 0.1, t_max: float = 1000.0, n_points: int =
     return TimeGrid(times=times)
 
 
-def decompose(H: HamiltonianMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition of a sector Hamiltonian."""
+def decompose(H: np.ndarray) -> SpectralDecomposition:
+    """Full eigendecomposition of a dense real symmetric sector Hamiltonian."""
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(H.entries)
+        eigenvalues, eigenvectors = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"eigendecomposition failed for dim={H.dim} matrix "
-            f"(max |entry| = {np.max(np.abs(H.entries)):.3e}): {exc}"
+            f"eigendecomposition failed for dim={len(H)} matrix "
+            f"(max |entry| = {np.max(np.abs(H)):.3e}): {exc}"
         ) from exc
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues, eigenvectors=eigenvectors, sector=H.sector
-    )
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def evolve_series(
@@ -87,21 +81,20 @@ def evolve_series(
     return spec.eigenvectors @ (phases * coeffs[:, None])
 
 
-def evolve_state(
-    specs: Sequence[SpectralDecomposition], psi0: BlockState, t
-) -> BlockState:
-    """Evolve each block under the decomposition with its particle number.
+def evolve_state(specs: dict[int, SpectralDecomposition], psi0: BlockState, t) -> BlockState:
+    """Evolve each block under specs[its particle number].
 
+    Blocks are matched by particle number, not by position or dimension:
+    sectors k and N - k have the same dimension but different Hamiltonians.
     A scalar t gives (dim,) blocks; a 1-d array of times gives time-major
     (n_times, dim) blocks.
     """
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
         raise ValueError("time must be nonnegative")
-    by_count = {s.sector.n_particles: s for s in specs}
     blocks = []
     for sector, amps in psi0.blocks:
-        spec = by_count.get(sector.n_particles)
+        spec = specs.get(sector.n_particles)
         if spec is None:
             raise ValueError(
                 f"no decomposition supplied for the {sector.n_particles}-particle block"

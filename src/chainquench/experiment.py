@@ -24,7 +24,6 @@ from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from .quantifiers import global_quantifiers, local_quantifiers
 from .states import BlockState, max_coherent, max_incoherent, neel, w_state
 
-INITIAL_STATES = ("neel", "max_incoherent", "max_coherent", "w_state")
 MODES = ("global", "local")
 
 SUPERSELECTION_WARNING = (
@@ -51,9 +50,9 @@ class ExperimentConfig:
     window: int | None = None
 
     def __post_init__(self) -> None:
-        if self.initial_state not in INITIAL_STATES:
+        if self.initial_state not in _STATE_FACTORIES:
             raise ValueError(
-                f"initial_state must be one of {INITIAL_STATES}, got {self.initial_state!r}"
+                f"initial_state must be one of {tuple(_STATE_FACTORIES)}, got {self.initial_state!r}"
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -67,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("window is only meaningful in local mode")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.initial_state in ("neel", "max_incoherent") and self.chain.n_sites % 2:
             raise ValueError(
                 f"{self.initial_state} requires an even chain, got N={self.chain.n_sites}"

@@ -44,52 +44,26 @@ class ChainParams:
         return pairs
 
 
-@dataclass(frozen=True, eq=False)
-class DisorderRealization:
-    """One draw of the on-site energies, with the seed that produced it."""
-
-    epsilon: np.ndarray
-    seed: int
-
-
-@dataclass(frozen=True, eq=False)
-class HamiltonianMatrix:
-    """Dense real symmetric matrix in the ascending basis order of `sector`."""
-
-    entries: np.ndarray
-    sector: Sector
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def sample_disorder(n_sites: int, seed: int) -> DisorderRealization:
-    """Draw n_sites independent uniforms on [-1, 1], deterministic in seed."""
+def sample_disorder(n_sites: int, seed: int) -> np.ndarray:
+    """Draw n_sites independent uniforms on [-1, 1], deterministic in seed (read-only)."""
     rng = np.random.default_rng(seed)
     eps = rng.uniform(-1.0, 1.0, n_sites)
     eps.setflags(write=False)
-    return DisorderRealization(epsilon=eps, seed=int(seed))
+    return eps
 
 
-def build_hamiltonian(
-    params: ChainParams, eps: DisorderRealization, sector: Sector
-) -> HamiltonianMatrix:
-    """Assemble the sector-restricted Hamiltonian.
+def build_hamiltonian(params: ChainParams, eps: np.ndarray, sector: Sector) -> np.ndarray:
+    """Dense real symmetric Hamiltonian in the ascending basis order of `sector`.
 
     Diagonal: W * sum_i eps_i n_i + g * sum_bonds n_a n_b. Off-diagonal:
     J times the fermionic string sign between states that differ by one
     hop along a bond. Symmetric pairs of entries are written from the two
     hop directions, whose string signs agree exactly.
     """
-    if len(eps.epsilon) != params.n_sites:
-        raise ValueError(
-            f"disorder has {len(eps.epsilon)} components for {params.n_sites} sites"
-        )
+    if len(eps) != params.n_sites:
+        raise ValueError(f"disorder has {len(eps)} components for {params.n_sites} sites")
     if sector.n_sites != params.n_sites:
-        raise ValueError(
-            f"sector is for {sector.n_sites} sites, params for {params.n_sites}"
-        )
+        raise ValueError(f"sector is for {sector.n_sites} sites, params for {params.n_sites}")
 
     states = sector.states
     dim = sector.dim
@@ -97,7 +71,7 @@ def build_hamiltonian(
     occupation = ((states[:, None] >> np.arange(params.n_sites)) & 1).astype(np.float64)
 
     H = np.zeros((dim, dim))
-    diag = params.W * (occupation @ eps.epsilon)
+    diag = params.W * (occupation @ eps)
     for a, b in params.bonds():
         diag += params.g * occupation[:, a - 1] * occupation[:, b - 1]
     H[np.diag_indices(dim)] = diag
@@ -116,4 +90,4 @@ def build_hamiltonian(
         cols = np.flatnonzero(hoppable)
         np.add.at(H, (rows, cols), params.J * sign)
 
-    return HamiltonianMatrix(entries=H, sector=sector)
+    return H

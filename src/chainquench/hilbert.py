@@ -25,7 +25,6 @@ class Sector:
     n_sites: int
     n_particles: int
     states: np.ndarray  # ascending int64 bit patterns
-    index_of: dict[int, int]  # exact inverse of `states`
 
     @property
     def dim(self) -> int:
@@ -48,8 +47,7 @@ def enumerate_sector(n_sites: int, n_particles: int) -> Sector:
     assert len(patterns) == comb(n_sites, n_particles)
     states = np.asarray(patterns, dtype=np.int64)
     states.setflags(write=False)
-    index_of = {s: m for m, s in enumerate(patterns)}
-    return Sector(n_sites=n_sites, n_particles=n_particles, states=states, index_of=index_of)
+    return Sector(n_sites=n_sites, n_particles=n_particles, states=states)
 
 
 @lru_cache(maxsize=None)

@@ -78,15 +78,13 @@ def _check_norm(psi: BlockState) -> None:
         raise ValueError(f"state is not normalized: max ||psi|^2 - 1| = {float(deviation)!r}")
 
 
-def global_quantifiers(psi: BlockState, n_sites: int | None = None) -> QuantifierTriple:
+def global_quantifiers(psi: BlockState) -> QuantifierTriple:
     """Whole-chain triple of a pure state; no bipartition, so E = 0.
 
     Uses the pure-state shortcut: with s1 = sum_j |psi_j| over all 2^N
     components, raw C = s1^2 - 1 and raw P = 2^N - s1^2. Equivalent to
     building |psi><psi| explicitly but never materializes it.
     """
-    if n_sites is not None and n_sites != psi.n_sites:
-        raise ValueError(f"state lives on {psi.n_sites} sites, not {n_sites}")
     _check_norm(psi)
     d = 1 << psi.n_sites
     s1 = np.concatenate([np.abs(amps) for _, amps in psi.blocks], axis=-1).sum(axis=-1)

@@ -68,7 +68,7 @@ class BlockState:
 
 def _basis_state(bits: int, sector: Sector) -> BlockState:
     amps = np.zeros(sector.dim, dtype=complex)
-    amps[sector.index_of[bits]] = 1.0
+    amps[np.searchsorted(sector.states, bits)] = 1.0
     return BlockState(n_sites=sector.n_sites, blocks=((sector, amps),))
 
 

@@ -66,8 +66,8 @@ def fig2_records():
         realizations=50,
         master_seed=MASTER_SEED,
     )
-    rec_al, rec_mbl = run_sweep(base, [2.0], [0.0, 1.0], n_workers=WORKERS)
-    return rec_al, rec_mbl
+    rec_al, rec_int = run_sweep(base, [2.0], [0.0, 1.0], n_workers=WORKERS)
+    return rec_al, rec_int
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_criterion_03_small_chain_oracle_equivalence():
         spec = decompose(build_hamiltonian(params, eps, sector0))
         series = evolve_series(spec, amps0, grid.times)
 
-        dense_h = dense_hamiltonian(n, params.J, params.W, params.g, eps.epsilon)
+        dense_h = dense_hamiltonian(n, params.J, params.W, params.g, eps)
         psi_dense0 = psi0.to_dense()
         for j, t in enumerate(grid.times):
             psi_t = BlockState(n_sites=n, blocks=((sector0, series[:, j]),))
@@ -196,14 +196,14 @@ def test_criterion_05_conservation_suite():
             H = build_hamiltonian(params, eps, sector)
             spec = decompose(H)
             h_norm = max(h_norm, float(np.max(np.abs(spec.eigenvalues))) or 1.0)
-            e0_total += float(np.real(amps.conj() @ H.entries @ amps))
+            e0_total += float(np.real(amps.conj() @ H @ amps))
             series.append((H, evolve_series(spec, amps, grid.times)))
         weights0 = [float(np.sum(np.abs(a) ** 2)) for _, a in blocks]
         for j in range(len(grid)):
             cols = [arr[:, j] for _, arr in series]
             norms = [float(np.sum(np.abs(c) ** 2)) for c in cols]
             worst_norm = max(worst_norm, abs(sum(norms) - 1.0))
-            energy = sum(float(np.real(c.conj() @ H.entries @ c)) for (H, _), c in zip(series, cols))
+            energy = sum(float(np.real(c.conj() @ H @ c)) for (H, _), c in zip(series, cols))
             worst_energy = max(worst_energy, abs(energy - e0_total) / h_norm)
             worst_number = max(worst_number, max(abs(nj - w0) for nj, w0 in zip(norms, weights0)))
     ok = worst_norm < 1e-8 and worst_energy < 1e-8 and worst_number < 1e-8
@@ -245,27 +245,27 @@ def test_criterion_07_weak_disorder_classification():
         realizations=50,
         master_seed=MASTER_SEED,
     )
-    rec_al, rec_mbl = run_sweep(base, [2.0], [0.0, 1.0], n_workers=WORKERS)
+    rec_al, rec_int = run_sweep(base, [2.0], [0.0, 1.0], n_workers=WORKERS)
     window = last_decade(rec_al.times)
     fit_al = fit_log(rec_al, "P", window)
-    fit_mbl = fit_log(rec_mbl, "P", window)
+    fit_int = fit_log(rec_int, "P", window)
     ok = (
         fit_al.label == SATURATED
-        and fit_mbl.label == LOG_DECAY
-        and fit_mbl.b > 0
-        and fit_mbl.b > 3.0 * fit_mbl.b_stderr
+        and fit_int.label == LOG_DECAY
+        and fit_int.b > 0
+        and fit_int.b > 3.0 * fit_int.b_stderr
     )
     _report(
         7,
         ok,
         f"N=14 W=2 r=50 last-decade P fits: AL b={fit_al.b:+.2e}"
         f" ({fit_al.b / max(fit_al.b_stderr, 1e-30):.1f} sigma, {fit_al.label}); "
-        f"MBL b={fit_mbl.b:+.2e} ({fit_mbl.b / max(fit_mbl.b_stderr, 1e-30):.1f} sigma, "
-        f"{fit_mbl.label})",
+        f"interacting b={fit_int.b:+.2e} ({fit_int.b / max(fit_int.b_stderr, 1e-30):.1f} sigma, "
+        f"{fit_int.label})",
     )
     assert fit_al.label == SATURATED, f"AL run not saturated: {fit_al}"
-    assert fit_mbl.label == LOG_DECAY and fit_mbl.b > 0 and fit_mbl.b > 3 * fit_mbl.b_stderr, (
-        f"MBL run not a significant logarithmic decrease in the last decade: {fit_mbl}"
+    assert fit_int.label == LOG_DECAY and fit_int.b > 0 and fit_int.b > 3 * fit_int.b_stderr, (
+        f"interacting run not a significant logarithmic decrease in the last decade: {fit_int}"
     )
 
 
@@ -369,16 +369,16 @@ def test_supplementary_log_drift_in_active_window(fig2_records):
     N=12 interacting slope is strongly significant while the
     non-interacting one is consistent with zero.
     """
-    rec_al, rec_mbl = fig2_records
+    rec_al, rec_int = fig2_records
     window = FitWindow(10.0, 1000.0)
     fit_al = fit_log(rec_al, "P", window)
-    fit_mbl = fit_log(rec_mbl, "P", window)
+    fit_int = fit_log(rec_int, "P", window)
     print(
         f"\n[supplementary] [10,1000] P fits: AL b={fit_al.b:+.2e} "
         f"({fit_al.b / max(fit_al.b_stderr, 1e-30):.1f} sigma), "
-        f"MBL b={fit_mbl.b:+.2e} ({fit_mbl.b / max(fit_mbl.b_stderr, 1e-30):.1f} sigma)",
+        f"interacting b={fit_int.b:+.2e} ({fit_int.b / max(fit_int.b_stderr, 1e-30):.1f} sigma)",
         flush=True,
     )
-    assert fit_mbl.b > 0
-    assert fit_mbl.b > 3.0 * fit_mbl.b_stderr
+    assert fit_int.b > 0
+    assert fit_int.b > 3.0 * fit_int.b_stderr
     assert abs(fit_al.b) < 3.0 * fit_al.b_stderr

@@ -107,6 +107,32 @@ def test_seed_override(tmp_path):
     m1 = json.loads((out1 / "trajectory.manifest.json").read_text())
     assert m1["master_seed"] == 99
     assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
+    out3 = tmp_path / "c"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out3), "--seed", "-5"]) == 2
+    assert not out3.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n_sites": 6.7},
+        {"n_sites": True},
+        {"n_sites": "6"},
+        {"realizations": True},
+        {"realizations": 2.5},
+        {"master_seed": 7.5},
+        {"master_seed": False},
+        {"master_seed": -1},
+        {"mode": "local", "window": True},
+        {"time_grid": {"n_points": 9.5}},
+    ],
+    ids=lambda overrides: ",".join(f"{k}={v!r}" for k, v in overrides.items()),
+)
+def test_run_rejects_bad_integer_fields(tmp_path, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_sweep_emits_one_file_per_cell(tmp_path):
@@ -132,6 +158,8 @@ def test_sweep_requires_value_lists(tmp_path):
     cfg = _write_config(tmp_path, W_values=[], g_values=[0, 1])
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     cfg = _write_config(tmp_path, name="c2.json")
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    cfg = _write_config(tmp_path, name="c3.json", W_values=["x"], g_values=[0, 1])
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
 

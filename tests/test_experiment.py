@@ -128,8 +128,8 @@ def test_sweep_pairs_disorder_across_g():
     assert len(records) == 2
     assert records[0].seeds == records[1].seeds
     for seed in records[0].seeds:
-        eps0 = sample_disorder(6, seed).epsilon
-        eps1 = sample_disorder(6, seed).epsilon
+        eps0 = sample_disorder(6, seed)
+        eps1 = sample_disorder(6, seed)
         assert np.array_equal(eps0, eps1)
     assert records[0].config.chain.g == 0.0
     assert records[1].config.chain.g == 1.0
@@ -170,6 +170,8 @@ def test_config_validation_before_compute():
         _small_config(realizations=0)
     with pytest.raises(ValueError):
         _small_config(initial_state="ghz")
+    with pytest.raises(ValueError):
+        _small_config(master_seed=-1)
 
 
 def test_short_time_limit_matches_initial_state():

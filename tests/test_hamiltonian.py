@@ -10,35 +10,36 @@ from _oracles import dense_hamiltonian
 def test_disorder_deterministic():
     a = sample_disorder(12, 42)
     b = sample_disorder(12, 42)
-    assert np.array_equal(a.epsilon, b.epsilon)
-    assert not np.array_equal(a.epsilon, sample_disorder(12, 43).epsilon)
+    assert np.array_equal(a, b)
+    assert not a.flags.writeable
+    assert not np.array_equal(a, sample_disorder(12, 43))
 
 
 def test_disorder_within_range():
     for seed in range(100):
-        eps = sample_disorder(100, seed).epsilon
+        eps = sample_disorder(100, seed)
         assert np.all(eps >= -1.0) and np.all(eps <= 1.0)
 
 
 def test_disorder_first_component_mean():
     # law of large numbers on epsilon_1: std of the mean is ~0.0018 at 1e5 draws
-    draws = np.array([sample_disorder(3, seed).epsilon[0] for seed in range(100_000)])
+    draws = np.array([sample_disorder(3, seed)[0] for seed in range(100_000)])
     assert abs(draws.mean()) < 0.01
 
 
 def test_two_site_single_particle():
     params = ChainParams(n_sites=2, J=1.0, W=0.0, g=0.0)
     H = build_hamiltonian(params, sample_disorder(2, 0), enumerate_sector(2, 1))
-    assert H.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert H.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_two_site_full_filling():
     params = ChainParams(n_sites=2, J=1.0, W=1.0, g=1.0)
     eps = sample_disorder(2, 5)
     H = build_hamiltonian(params, eps, enumerate_sector(2, 2))
-    expected = eps.epsilon[0] + eps.epsilon[1] + 1.0
-    assert H.entries.shape == (1, 1)
-    assert H.entries[0, 0] == pytest.approx(expected, abs=1e-15)
+    expected = eps[0] + eps[1] + 1.0
+    assert H.shape == (1, 1)
+    assert H[0, 0] == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("g", [0.0, 1.0])
@@ -50,15 +51,15 @@ def test_matches_term_by_term_oracle(g, boundary):
     sector = enumerate_sector(n, k)
     H = build_hamiltonian(params, eps, sector)
 
-    full = dense_hamiltonian(n, params.J, params.W, params.g, eps.epsilon, boundary)
+    full = dense_hamiltonian(n, params.J, params.W, params.g, eps, boundary)
     block = full[np.ix_(sector.states, sector.states)]
-    np.testing.assert_allclose(H.entries, block, atol=1e-13)
+    np.testing.assert_allclose(H, block, atol=1e-13)
 
 
 def test_oracle_never_couples_sectors():
     n = 4
     eps = sample_disorder(n, 9)
-    full = dense_hamiltonian(n, 1.0, 2.0, 1.0, eps.epsilon)
+    full = dense_hamiltonian(n, 1.0, 2.0, 1.0, eps)
     pop = np.array([bin(s).count("1") for s in range(1 << n)])
     off_sector = full[pop[:, None] != pop[None, :]]
     assert np.all(off_sector == 0.0)
@@ -71,15 +72,15 @@ def test_exactly_symmetric():
         k = int(rng.integers(1, n))
         params = ChainParams(n_sites=n, J=1.3, W=4.0, g=0.7, boundary=boundary)
         H = build_hamiltonian(params, sample_disorder(n, 17), enumerate_sector(n, k))
-        assert np.array_equal(H.entries, H.entries.T)
-        assert H.entries.dtype == np.float64
+        assert np.array_equal(H, H.T)
+        assert H.dtype == np.float64
 
 
 def test_periodic_tight_binding_spectrum():
     n = 6
     params = ChainParams(n_sites=n, J=1.0, W=0.0, g=0.0, boundary="periodic")
     H = build_hamiltonian(params, sample_disorder(n, 0), enumerate_sector(n, 1))
-    got = np.linalg.eigvalsh(H.entries)
+    got = np.linalg.eigvalsh(H)
     expected = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
     np.testing.assert_allclose(got, expected, atol=1e-12)
 

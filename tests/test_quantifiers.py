@@ -103,7 +103,7 @@ def test_global_two_site_analytic():
     spec = decompose(build_hamiltonian(params, sample_disorder(2, 0), sector))
     psi0 = BlockState(n_sites=2, blocks=((sector, np.array([1.0 + 0j, 0.0])),))
     for t in np.linspace(0.05, 8.0, 40):
-        trip = global_quantifiers(evolve_state([spec], psi0, float(t)))
+        trip = global_quantifiers(evolve_state({1: spec}, psi0, float(t)))
         assert trip.C == pytest.approx(abs(np.sin(2 * t)) / 3.0, abs=1e-12)
         assert trip.P == pytest.approx(1.0 - abs(np.sin(2 * t)) / 3.0, abs=1e-12)
 

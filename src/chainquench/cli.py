@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,43 +34,58 @@ from .quantifiers import measurement_cost
 CSV_HEADER = ["t", "C_mean", "C_sem", "P_mean", "P_sem", "E_mean", "E_sem"]
 MANIFEST_FORMAT_VERSION = 2
 
-_CONFIG_KEYS = {
-    "n_sites",
-    "J",
-    "W",
-    "g",
-    "boundary",
-    "initial_state",
-    "mode",
-    "window",
-    "time_grid",
-    "realizations",
-    "master_seed",
-    "W_values",
-    "g_values",
+# JSON type of every config key. A dict is an object whose keys are checked
+# the same way, [float] a list of numbers, and (int, None) an integer or null.
+_FIELDS = {
+    "n_sites": int,
+    "J": float,
+    "W": float,
+    "g": float,
+    "boundary": str,
+    "initial_state": str,
+    "mode": str,
+    "window": (int, None),
+    "time_grid": {"t_min": float, "t_max": float, "n_points": int},
+    "realizations": int,
+    "master_seed": int,
+    "W_values": [float],
+    "g_values": [float],
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 class ConfigError(Exception):
     pass
 
 
-def _require(raw: dict, key: str):
-    if key not in raw:
-        raise ConfigError(f"config key {key!r} is required")
-    return raw[key]
-
-
-def _integer(key: str, value) -> int:
-    """A JSON integer, or a float with an integral value; bools are not integers."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    return int(value)
+def _checked(key: str, value, kind):
+    """`value` as the `_FIELDS` type `kind`; integers take integral floats, numbers no bools."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+        unknown = set(value) - set(kind)
+        if unknown:
+            raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+        return {k: _checked(k, v, kind[k]) for k, v in value.items()}
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+        return [_checked(key, v, kind[0]) for v in value]
+    if isinstance(kind, tuple):
+        return None if value is None else _checked(key, value, kind[0])
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and (
+            kind is float or isinstance(value, int) or value.is_integer()
+        )
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value)
 
 
 def load_config_file(path: str | Path) -> dict:
+    """Read a JSON config and check every key against `_FIELDS`."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -78,45 +93,25 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must contain a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+    return _checked("config", raw, _FIELDS)
 
 
 def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
-    grid_raw = raw.get("time_grid", {})
-    if not isinstance(grid_raw, dict):
-        raise ConfigError("time_grid must be an object with t_min/t_max/n_points")
+    """The experiment of a checked config; each omitted key takes its callee's default."""
+    if seed_override is not None:
+        raw = {**raw, "master_seed": seed_override}
+
+    def given(*keys: str) -> dict:
+        return {key: raw[key] for key in keys if key in raw}
+
     try:
-        grid = default_time_grid(
-            t_min=float(grid_raw.get("t_min", 0.1)),
-            t_max=float(grid_raw.get("t_max", 1000.0)),
-            n_points=_integer("n_points", grid_raw.get("n_points", 61)),
-        )
-        chain = ChainParams(
-            n_sites=_integer("n_sites", _require(raw, "n_sites")),
-            J=float(raw.get("J", 1.0)),
-            W=float(raw.get("W", 0.0)),
-            g=float(raw.get("g", 0.0)),
-            boundary=str(raw.get("boundary", "open")),
-        )
-        window = raw.get("window")
-        seed = seed_override if seed_override is not None else _require(raw, "master_seed")
-        config = ExperimentConfig(
-            chain=chain,
-            initial_state=str(_require(raw, "initial_state")),
-            grid=grid,
-            realizations=_integer("realizations", _require(raw, "realizations")),
-            master_seed=_integer("master_seed", seed),
-            mode=str(raw.get("mode", "global")),
-            window=None if window is None else _integer("window", window),
+        return ExperimentConfig(
+            chain=ChainParams(**given("n_sites", "J", "W", "g", "boundary")),
+            grid=default_time_grid(**raw.get("time_grid", {})),
+            **given("initial_state", "realizations", "master_seed", "mode", "window"),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return config
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -205,11 +200,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not w_values or not g_values:
         raise ConfigError("sweep needs nonempty W_values and g_values lists")
     base = parse_config(raw, seed_override=args.seed)
+    cells = [(w, g) for w in w_values for g in g_values]
     try:
-        w_values, g_values = [float(w) for w in w_values], [float(g) for g in g_values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"W_values and g_values must hold numbers: {exc}") from exc
-    stems = [f"traj_W{w:g}_g{g:g}" for w in w_values for g in g_values]
+        for w, g in cells:  # every cell's chain checks, before any compute
+            replace(base.chain, W=w, g=g)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    stems = [f"traj_W{w:g}_g{g:g}" for w, g in cells]
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:
         raise ConfigError(f"W_values/g_values give more than one cell the output name {clashes}")
@@ -333,11 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ValueError, FloatingPointError, OverflowError) as exc:
         # errors surfacing after config validation are numeric in nature
+        # (np.linalg.LinAlgError is a ValueError; int64 bit patterns overflow
+        # from 64 sites on)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -12,8 +12,10 @@ results, can differ from a pooled run's in the last digits.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,6 +73,21 @@ class ExperimentConfig:
         if self.initial_state in ("neel", "max_incoherent") and self.chain.n_sites % 2:
             raise ValueError(
                 f"{self.initial_state} requires an even chain, got N={self.chain.n_sites}"
+            )
+        # largest array: the dense Hamiltonian of the largest sector the state
+        # occupies, or in local mode the time-major scatter onto all 2^N states;
+        # that sector has dimension >= N, so 8 N^2 first rules out any N whose
+        # comb(N, k) or 2^N would itself take long to compute
+        n = self.chain.n_sites
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        largest = 8 * n**2
+        if largest <= memory:
+            largest = 8 * comb(n, 1 if self.initial_state == "w_state" else n // 2) ** 2
+            if self.mode == "local":
+                largest = max(largest, 16 * len(self.grid) * 2**n)
+        if largest > memory:
+            raise ValueError(
+                f"N={n} needs an array larger than the {memory / 2**30:.3g} GiB of physical memory"
             )
 
     def warnings(self) -> tuple[str, ...]:

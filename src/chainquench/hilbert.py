@@ -14,9 +14,6 @@ from math import comb
 
 import numpy as np
 
-# Bit patterns are stored in int64 arrays; one bit per site plus sign headroom.
-MAX_SITES = 62
-
 
 @dataclass(frozen=True, eq=False)
 class Sector:
@@ -38,8 +35,6 @@ def enumerate_sector(n_sites: int, n_particles: int) -> Sector:
         raise ValueError(
             f"particle count {n_particles} outside [0, {n_sites}]"
         )
-    if n_sites > MAX_SITES:
-        raise ValueError(f"chains longer than {MAX_SITES} sites are not supported")
     patterns = sorted(
         sum(1 << i for i in sites)
         for sites in itertools.combinations(range(n_sites), n_particles)

@@ -125,6 +125,14 @@ def test_seed_override(tmp_path):
         {"master_seed": -1},
         {"mode": "local", "window": True},
         {"time_grid": {"n_points": 9.5}},
+        {"W": "2"},
+        {"g": True},
+        {"J": None},
+        {"boundary": 5},
+        {"time_grid": {"tmax": 10}},
+        {"time_grid": {"t_min": True}},
+        {"time_grid": {"t_max": "10"}},
+        {"n_sites": 40},  # too large for memory; rejected before any enumeration
     ],
     ids=lambda overrides: ",".join(f"{k}={v!r}" for k, v in overrides.items()),
 )
@@ -133,6 +141,61 @@ def test_run_rejects_bad_integer_fields(tmp_path, overrides):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,window", [("global", None), ("local", 2)])
+def test_manifest_config_reruns_to_the_same_csv(tmp_path, mode, window):
+    cfg = _write_config(tmp_path, mode=mode, window=window)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(first)]) == 0
+    echoed = json.loads((first / "trajectory.manifest.json").read_text())["config"]
+    assert echoed["window"] == window
+    path = tmp_path / "echoed.json"
+    path.write_text(json.dumps(echoed))
+    assert main(["run", "--config", str(path), "--out-dir", str(second)]) == 0
+    assert (first / "trajectory.csv").read_bytes() == (second / "trajectory.csv").read_bytes()
+
+
+def test_numbers_take_the_type_of_their_key(tmp_path):
+    # 6.0 is the integer 6 and 3 the float 3.0, in the run and in its manifest
+    def outputs(out):
+        manifest = json.loads((out / "trajectory.manifest.json").read_text())
+        del manifest["created_utc"]
+        return (out / "trajectory.csv").read_bytes(), json.dumps(manifest)
+
+    cfg = _write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+    loose = _write_config(tmp_path, name="loose.json", n_sites=6.0, W=3, g=1, realizations=2.0,
+                          time_grid={"t_min": 0.1, "t_max": 100, "n_points": 9.0})
+    assert main(["run", "--config", str(loose), "--out-dir", str(tmp_path / "b")]) == 0
+    assert outputs(tmp_path / "a") == outputs(tmp_path / "b")
+
+
+REQUIRED = {"n_sites": 4, "initial_state": "neel", "realizations": 1, "master_seed": 3}
+
+
+def test_omitted_keys_take_the_library_defaults(tmp_path, capsys):
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(REQUIRED))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    echoed = json.loads((out / "trajectory.manifest.json").read_text())["config"]
+    assert echoed == {
+        **REQUIRED,
+        "J": 1.0,
+        "W": 0.0,
+        "g": 0.0,
+        "boundary": "open",
+        "mode": "global",
+        "window": None,
+        "time_grid": {"t_min": 0.1, "t_max": 1000.0, "n_points": 61},
+    }
+    assert all(isinstance(echoed[key], float) for key in ("J", "W", "g"))
+    for key in REQUIRED:
+        path.write_text(json.dumps({k: v for k, v in REQUIRED.items() if k != key}))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "missing")]) == 2
+        assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_sweep_emits_one_file_per_cell(tmp_path):
@@ -161,6 +224,13 @@ def test_sweep_requires_value_lists(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     cfg = _write_config(tmp_path, name="c3.json", W_values=["x"], g_values=[0, 1])
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    # a string is no list, a bool no number, and a NaN cell fails before any cell runs
+    for values in ({"W_values": "12", "g_values": [0]}, {"W_values": [2], "g_values": [True]},
+                   {"W_values": [2, float("nan")], "g_values": [0]}):
+        cfg = _write_config(tmp_path, name="c4.json", **values)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_sweep_rejects_colliding_output_names(tmp_path):

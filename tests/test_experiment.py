@@ -174,6 +174,21 @@ def test_config_validation_before_compute():
         _small_config(master_seed=-1)
 
 
+def test_memory_guard_reads_sizes_only():
+    # constructing a config allocates and enumerates nothing; N=40 Néel would
+    # need 8 * comb(40, 20)**2 bytes for its sector Hamiltonian
+    with pytest.raises(ValueError, match="physical memory"):
+        _small_config(n_sites=40)
+    # 16 * 13 times * 2**40 bytes for the local-mode scatter
+    with pytest.raises(ValueError, match="physical memory"):
+        _small_config(n_sites=40, initial_state="w_state", mode="local", window=2)
+    with pytest.raises(ValueError, match="physical memory"):
+        _small_config(n_sites=10**12, initial_state="w_state")  # settled without comb(N, k)
+    _small_config(n_sites=14)
+    _small_config(n_sites=14, mode="local", window=2, grid=default_time_grid())
+    _small_config(n_sites=30, initial_state="w_state")  # one-particle sector, D = 30
+
+
 def test_short_time_limit_matches_initial_state():
     grid = default_time_grid(1e-3, 1.0, 7)
     record = run_experiment(_small_config(grid=grid, realizations=2))

@@ -1,8 +1,9 @@
 """Quench dynamics of disordered fermion chains.
 
 Builds Anderson and interacting disordered-chain Hamiltonians in
-particle-number sectors, evolves initial states exactly through full
-eigendecomposition, tracks l1-norm coherence / predictability /
+particle-number sectors, evolves initial states exactly through
+eigendecomposition (of the one-particle Hamiltonian alone for a
+non-interacting basis state), tracks l1-norm coherence / predictability /
 entanglement triples, and classifies late-time trajectories as saturated
 or logarithmically drifting.
 """

@@ -81,7 +81,10 @@ def _checked(key: str, value, kind):
         )
     if not ok:
         raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # a JSON integer literal beyond the float range
+        raise ConfigError(f"config key {key!r} is too large for a float") from None
 
 
 def load_config_file(path: str | Path) -> dict:

@@ -1,8 +1,11 @@
 """Disorder-averaged quench protocol.
 
-For each realization: draw on-site energies, build and diagonalize the
-sector Hamiltonian(s), evolve the chosen initial state over the time
-grid, and evaluate the quantifier triple at every time. Realizations are
+For each realization: draw on-site energies, build and diagonalize a
+Hamiltonian, evolve the chosen initial state over the time grid, and
+evaluate the quantifier triple at every time. Without interaction (g = 0) a
+basis state (`neel`, `max_incoherent`) evolves as a Slater determinant, from
+the N x N one-particle Hamiltonian; every other run diagonalizes the dense
+Hamiltonian of each sector the state occupies. Realizations are
 independent and may run on worker threads; aggregation always folds them
 in realization-index order. A worker pool pins OpenBLAS to one thread, so
 runs with two or more workers are bit-identical to each other. A serial run
@@ -21,8 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blas import blas_threads, one_blas_thread
-from .evolve import TimeGrid, decompose, default_time_grid, evolve_series
+from .evolve import TimeGrid, decompose, default_time_grid, evolve_series, slater_series
 from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
+from .hilbert import enumerate_sector
 from .quantifiers import global_quantifiers, local_quantifiers
 from .states import BlockState, max_coherent, max_incoherent, neel, w_state
 
@@ -89,6 +93,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"N={n} needs an array larger than the {memory / 2**30:.3g} GiB of physical memory"
             )
+        if n > 63:
+            raise ValueError(
+                f"basis states are 63-bit patterns, so a chain has at most 63 sites, got N={n}"
+            )
 
     def warnings(self) -> tuple[str, ...]:
         if self.initial_state == "max_coherent":
@@ -124,10 +132,19 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
     eps = sample_disorder(config.chain.n_sites, seed)
     psi0 = _STATE_FACTORIES[config.initial_state](config.chain.n_sites)
     times = config.grid.times
-    blocks = []
-    for sector, amps in psi0.blocks:
-        spec = decompose(build_hamiltonian(config.chain, eps, sector))
-        blocks.append((sector, evolve_series(spec, amps, times).T))
+    (sector, amps), *others = psi0.blocks
+    (nonzero,) = np.nonzero(amps)
+    if config.chain.g == 0 and not others and len(nonzero) == 1:
+        # a basis state without interaction stays a Slater determinant
+        one_particle = enumerate_sector(config.chain.n_sites, 1)
+        spec1 = decompose(build_hamiltonian(config.chain, eps, one_particle))
+        m = nonzero[0]
+        blocks = [(sector, amps[m] * slater_series(spec1, sector, sector.states[m], times))]
+    else:
+        blocks = []
+        for sector, amps in psi0.blocks:
+            spec = decompose(build_hamiltonian(config.chain, eps, sector))
+            blocks.append((sector, evolve_series(spec, amps, times).T))
     psi_t = BlockState(n_sites=psi0.n_sites, blocks=tuple(blocks))
 
     if config.mode == "global":

@@ -143,6 +143,28 @@ def test_run_rejects_bad_integer_fields(tmp_path, overrides):
     assert not out.exists()
 
 
+def test_run_rejects_numbers_too_large_for_a_float(tmp_path, capsys):
+    # JSON integer literals have no size limit; 10**400 is written out in full
+    out = tmp_path / "out"
+    for overrides in ({"W": 10**400}, {"time_grid": {"t_max": -(10**400)}}):
+        cfg = _write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "too large for a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_chains_beyond_63_bit_patterns(tmp_path, capsys):
+    # a w_state sector has dimension N, so N = 64 passes the memory guard;
+    # the bit-pattern width is checked before anything is enumerated
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, n_sites=64, initial_state="w_state")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "63-bit" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = _write_config(tmp_path, n_sites=63, initial_state="w_state", realizations=1)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+
+
 @pytest.mark.parametrize("mode,window", [("global", None), ("local", 2)])
 def test_manifest_config_reruns_to_the_same_csv(tmp_path, mode, window):
     cfg = _write_config(tmp_path, mode=mode, window=window)

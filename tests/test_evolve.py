@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chainquench.evolve import decompose, default_time_grid, evolve_series, evolve_state
+from chainquench.evolve import (
+    decompose,
+    default_time_grid,
+    evolve_series,
+    evolve_state,
+    slater_series,
+)
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
-from chainquench.hilbert import enumerate_sector
+from chainquench.hilbert import enumerate_sector, full_space
 from chainquench.states import BlockState, max_coherent, neel
 
 from _oracles import dense_hamiltonian, random_pure_state
@@ -140,6 +146,58 @@ def test_multisector_missing_block_rejected():
     del specs[3]
     with pytest.raises(ValueError):
         evolve_state(specs, psi0, 1.0)
+
+
+def _one_particle_spec(params, eps):
+    return decompose(build_hamiltonian(params, eps, enumerate_sector(params.n_sites, 1)))
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("n", range(4, 11))
+def test_slater_series_matches_dense_on_every_basis_state(n, boundary):
+    # every particle count 0..N, so k = 0, 1, N - 1 and N included. Grid ends
+    # at t = 100: both methods carry eigenvalue rounding, whose phase error
+    # grows as ~5e-15 t and reaches 1e-12 near t = 200
+    params = ChainParams(n_sites=n, J=1.0, W=3.0, g=0.0, boundary=boundary)
+    eps = sample_disorder(n, 100 + n)
+    spec1 = _one_particle_spec(params, eps)
+    times = default_time_grid(0.1, 100.0, 7).times
+    for sector in full_space(n):
+        spec = decompose(build_hamiltonian(params, eps, sector))
+        for m, x0 in enumerate(sector.states):
+            amps = np.zeros(sector.dim, dtype=complex)
+            amps[m] = 1.0
+            dense = evolve_series(spec, amps, times).T
+            got = slater_series(spec1, sector, x0, times)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+
+def test_slater_series_matches_brute_force_periodic_chain():
+    # the wrap-around hop crosses every other particle, so its string sign
+    # depends on the particle count; the 2^N oracle applies it operator by operator
+    n = 6
+    params = ChainParams(n_sites=n, J=1.0, W=2.0, g=0.0, boundary="periodic")
+    eps = sample_disorder(n, 21)
+    spec1 = _one_particle_spec(params, eps)
+    full = dense_hamiltonian(n, params.J, params.W, params.g, eps, boundary="periodic")
+    times = np.array([0.7, 3.0, 25.0])
+    propagators = np.stack([scipy.linalg.expm(-1j * full * t) for t in times])
+    for sector in full_space(n):
+        for x0 in sector.states:
+            expected = propagators[:, sector.states, x0]
+            np.testing.assert_allclose(
+                slater_series(spec1, sector, x0, times), expected, rtol=0, atol=1e-12
+            )
+
+
+def test_slater_series_rejects_mismatched_inputs():
+    params = ChainParams(n_sites=4, W=1.0)
+    spec1 = _one_particle_spec(params, sample_disorder(4, 0))
+    times = np.array([1.0])
+    with pytest.raises(ValueError):
+        slater_series(spec1, enumerate_sector(4, 2), 0b0111, times)
+    with pytest.raises(ValueError):
+        slater_series(spec1, enumerate_sector(5, 2), 0b0011, times)
 
 
 def test_default_time_grid_log_spacing():

@@ -3,14 +3,16 @@ import pytest
 
 from chainquench import experiment
 from chainquench.blas import blas_threads, one_blas_thread, openblas
-from chainquench.evolve import default_time_grid
+from chainquench.evolve import decompose, default_time_grid, evolve_state
 from chainquench.experiment import (
     make_default_config,
     realization_seed,
     run_experiment,
     run_sweep,
 )
-from chainquench.hamiltonian import sample_disorder
+from chainquench.hamiltonian import build_hamiltonian, sample_disorder
+from chainquench.quantifiers import global_quantifiers, local_quantifiers
+from chainquench.states import neel
 
 
 def _small_config(**overrides):
@@ -155,6 +157,67 @@ def test_w_state_interaction_independent():
     records = run_sweep(base, [5.0], [0.0, 1.0])
     assert np.max(np.abs(records[0].c_mean - records[1].c_mean)) <= 1e-10
     assert np.max(np.abs(records[0].p_mean - records[1].p_mean)) <= 1e-10
+
+
+def _logging(fn, log):
+    """fn, appending the (args, result) of every call to log."""
+
+    def wrapper(*args):
+        result = fn(*args)
+        log.append((args, result))
+        return result
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "g,particles,dims,propagations", [(0.0, [1], [8], 0), (1.0, [4], [70], 1)],
+    ids=["free", "interacting"],
+)
+def test_neel_realization_builds_through_the_experiment_bindings(
+    monkeypatch, g, particles, dims, propagations
+):
+    # the benchmark's set-up marker is the first call of experiment.build_hamiltonian,
+    # so the free path must reach build and decompose through these bindings
+    calls = {"build_hamiltonian": [], "decompose": [], "evolve_series": []}
+    for name, log in calls.items():
+        monkeypatch.setattr(experiment, name, _logging(getattr(experiment, name), log))
+    run_experiment(_small_config(n_sites=8, g=g, realizations=1))
+    assert [args[2].n_particles for args, _ in calls["build_hamiltonian"]] == particles
+    assert [spec.dim for _, spec in calls["decompose"]] == dims
+    assert len(calls["evolve_series"]) == propagations
+
+
+def _dense_fields(config):
+    """run_experiment's statistics, every realization on the dense sector path."""
+    psi0 = neel(config.chain.n_sites)
+    ((sector, _),) = psi0.blocks
+    rows = []
+    for k in range(config.realizations):
+        eps = sample_disorder(config.chain.n_sites, realization_seed(config.master_seed, k))
+        specs = {sector.n_particles: decompose(build_hamiltonian(config.chain, eps, sector))}
+        psi_t = evolve_state(specs, psi0, config.grid.times)
+        if config.mode == "global":
+            trip = global_quantifiers(psi_t)
+        else:
+            trip = local_quantifiers(psi_t, config.window)
+        rows.append(np.broadcast_arrays(trip.C, trip.P, trip.E))
+    stack = np.asarray(rows)  # (r, 3, T)
+    mean, sem = stack.mean(axis=0), stack.std(axis=0, ddof=1) / np.sqrt(config.realizations)
+    return mean[0], sem[0], mean[1], sem[1], mean[2], sem[2]
+
+
+@pytest.mark.parametrize(
+    "W,mode,window", [(2.0, "global", None), (6.0, "global", None), (10.0, "global", None),
+                      (2.0, "local", 2)],
+)
+def test_free_cells_of_the_classification_criteria_match_the_dense_path(W, mode, window):
+    # the g = 0 cells of acceptance criteria 7 and 8 at N = 12, two realizations
+    config = make_default_config(n_sites=12, W=W, g=0.0, mode=mode, window=window,
+                                 realizations=2, master_seed=20240301)
+    record = run_experiment(config)
+    for got, want in zip(_fields(record), _dense_fields(config)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_config_validation_before_compute():

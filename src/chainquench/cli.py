@@ -119,11 +119,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     return {
-        "n_sites": config.chain.n_sites,
-        "J": config.chain.J,
-        "W": config.chain.W,
-        "g": config.chain.g,
-        "boundary": config.chain.boundary,
+        **asdict(config.chain),
         "initial_state": config.initial_state,
         "mode": config.mode,
         "window": config.window,

@@ -37,12 +37,19 @@ SUPERSELECTION_WARNING = (
     "which fermion parity superselection forbids; simulated regardless"
 )
 
+_BASIS_STATES = ("neel", "max_incoherent")  # one half-filled occupation pattern each
+
 _STATE_FACTORIES: dict[str, Callable] = {
     "neel": neel,
     "max_incoherent": max_incoherent,
     "max_coherent": max_coherent,
     "w_state": w_state,
 }
+
+
+def _slater(config: ExperimentConfig) -> bool:
+    """Whether a run evolves as a Slater determinant: no interaction, basis-state start."""
+    return config.chain.g == 0 and config.initial_state in _BASIS_STATES
 
 
 @dataclass(frozen=True)
@@ -74,21 +81,24 @@ class ExperimentConfig:
             raise ValueError("need at least one realization")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
-        if self.initial_state in ("neel", "max_incoherent") and self.chain.n_sites % 2:
+        if self.initial_state in _BASIS_STATES and self.chain.n_sites % 2:
             raise ValueError(
                 f"{self.initial_state} requires an even chain, got N={self.chain.n_sites}"
             )
         # largest array: the dense Hamiltonian of the largest sector the state
-        # occupies, or in local mode the time-major scatter onto all 2^N states;
-        # that sector has dimension >= N, so 8 N^2 first rules out any N whose
-        # comb(N, k) or 2^N would itself take long to compute
+        # occupies, or the (n_times, D) amplitudes of a Slater run; in local mode
+        # also the (n_times, 2^N) dense state and (n_times, 2^w, 2^w) windows.
+        # Every run builds an N x N matrix or larger, so 8 N^2 first rules out
+        # any N whose comb(N, k) or 2^N would itself take long to compute
         n = self.chain.n_sites
+        n_times = len(self.grid)
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         largest = 8 * n**2
         if largest <= memory:
-            largest = 8 * comb(n, 1 if self.initial_state == "w_state" else n // 2) ** 2
+            d = comb(n, 1 if self.initial_state == "w_state" else n // 2)
+            largest = max(largest, 16 * n_times * d if _slater(self) else 8 * d**2)
             if self.mode == "local":
-                largest = max(largest, 16 * len(self.grid) * 2**n)
+                largest = max(largest, 16 * n_times * max(2**n, 4**self.window))
         if largest > memory:
             raise ValueError(
                 f"N={n} needs an array larger than the {memory / 2**30:.3g} GiB of physical memory"
@@ -132,13 +142,11 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
     eps = sample_disorder(config.chain.n_sites, seed)
     psi0 = _STATE_FACTORIES[config.initial_state](config.chain.n_sites)
     times = config.grid.times
-    (sector, amps), *others = psi0.blocks
-    (nonzero,) = np.nonzero(amps)
-    if config.chain.g == 0 and not others and len(nonzero) == 1:
-        # a basis state without interaction stays a Slater determinant
+    if _slater(config):
+        ((sector, amps),) = psi0.blocks
+        ((m,),) = np.nonzero(amps)
         one_particle = enumerate_sector(config.chain.n_sites, 1)
         spec1 = decompose(build_hamiltonian(config.chain, eps, one_particle))
-        m = nonzero[0]
         blocks = [(sector, amps[m] * slater_series(spec1, sector, sector.states[m], times))]
     else:
         blocks = []

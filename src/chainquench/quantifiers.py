@@ -10,18 +10,17 @@ so C + P + E = d - 1 identically. Reported triples are divided by d - 1
 of the relevant space, making the three quantities sum to one. Global
 quantities use the full 2^N computational dimension (components outside
 the occupied particle-number sectors are zero and contribute nothing);
-n-site window quantities use 2^n.
+n-site window quantities use 2^n. Window density matrices come from the
+state's dense 2^N amplitudes (`BlockState.to_dense`), reshaped per window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .hilbert import enumerate_sector
 from .states import BlockState
 
 NORM_ATOL = 1e-8
@@ -92,17 +91,13 @@ def global_quantifiers(psi: BlockState) -> QuantifierTriple:
     return QuantifierTriple(C=(s1 * s1 - 1.0) / scale, P=(d - s1 * s1) / scale, E=0.0)
 
 
-@lru_cache(maxsize=None)
-def _window_scatter(
-    n_sites: int, n_particles: int, first_site: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map each sector basis state to (window bits, remainder bits)."""
-    states = enumerate_sector(n_sites, n_particles).states
-    window = (states >> (first_site - 1)) & ((1 << width) - 1)
-    low = states & ((1 << (first_site - 1)) - 1)
-    high = states >> (first_site - 1 + width)
-    rest = low | (high << (first_site - 1))
-    return window, rest
+def _window_matrix(dense: np.ndarray, first_site: int, width: int) -> np.ndarray:
+    """(..., 2^w, 2^w) density matrix of one site window, from all 2^N amplitudes."""
+    # pattern bits are (high, window, low), low = first_site - 1 bits; m is (window, high low)
+    lead = dense.shape[:-1]
+    m = dense.reshape(lead + (-1, 1 << width, 1 << (first_site - 1))).swapaxes(-3, -2)
+    m = m.reshape(lead + (1 << width, -1))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def partial_trace(psi: BlockState, keep_sites: Sequence[int]) -> np.ndarray:
@@ -126,13 +121,7 @@ def partial_trace(psi: BlockState, keep_sites: Sequence[int]) -> np.ndarray:
             f"only contiguous ascending site windows are supported, got {keep}"
         )
     _check_norm(psi)
-
-    width = len(keep)
-    M = np.zeros(psi.time_shape + (1 << width, 1 << (n_sites - width)), dtype=complex)
-    for sector, amps in psi.blocks:
-        window, rest = _window_scatter(n_sites, sector.n_particles, keep[0], width)
-        M[..., window, rest] = amps
-    return M @ M.conj().swapaxes(-1, -2)
+    return _window_matrix(psi.to_dense(), keep[0], len(keep))
 
 
 def local_quantifiers(psi: BlockState, n: int) -> QuantifierTriple:
@@ -140,11 +129,12 @@ def local_quantifiers(psi: BlockState, n: int) -> QuantifierTriple:
     n_sites = psi.n_sites
     if not 1 <= n <= n_sites:
         raise ValueError(f"window size {n} outside 1..{n_sites}")
+    _check_norm(psi)
+    dense = psi.to_dense()
     c_sum = p_sum = e_sum = 0.0
     n_windows = n_sites - n + 1
-    # one window at a time keeps a single (n_times, 2^n, 2^(N-n)) scatter alive
     for first in range(1, n_windows + 1):
-        rho = partial_trace(psi, range(first, first + n))
+        rho = _window_matrix(dense, first, n)
         c_sum += coherence_l1(rho)
         p_sum += predictability_l1(rho)
         e_sum += entanglement_l1(rho)

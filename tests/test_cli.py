@@ -165,6 +165,25 @@ def test_run_rejects_chains_beyond_63_bit_patterns(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
 
 
+def test_run_sizes_window_matrices_and_slater_amplitudes(tmp_path, host_with_8_gib, capsys):
+    out = tmp_path / "out"
+    grid = {"t_min": 0.1, "t_max": 1000.0, "n_points": 61}
+    # 16 * 61 * 4**12 bytes of window matrices; rejected before any compute
+    cfg = _write_config(tmp_path, n_sites=12, mode="local", window=12, time_grid=grid)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    # a dense N=18 Hamiltonian takes 8 * comb(18, 9)**2 bytes (18.9 GB)
+    cfg = _write_config(tmp_path, n_sites=18, realizations=1)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+    # without interaction the Neel state needs only its (n_times, comb(18, 9)) amplitudes
+    grid = {"t_min": 0.1, "t_max": 1000.0, "n_points": 5}
+    cfg = _write_config(tmp_path, n_sites=18, g=0.0, realizations=1, time_grid=grid)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("mode,window", [("global", None), ("local", 2)])
 def test_manifest_config_reruns_to_the_same_csv(tmp_path, mode, window):
     cfg = _write_config(tmp_path, mode=mode, window=window)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -237,12 +239,12 @@ def test_config_validation_before_compute():
         _small_config(master_seed=-1)
 
 
-def test_memory_guard_reads_sizes_only():
+def test_memory_guard_reads_sizes_only(host_with_8_gib):
     # constructing a config allocates and enumerates nothing; N=40 Néel would
     # need 8 * comb(40, 20)**2 bytes for its sector Hamiltonian
     with pytest.raises(ValueError, match="physical memory"):
         _small_config(n_sites=40)
-    # 16 * 13 times * 2**40 bytes for the local-mode scatter
+    # 16 * 13 times * 2**40 bytes for the local-mode dense state
     with pytest.raises(ValueError, match="physical memory"):
         _small_config(n_sites=40, initial_state="w_state", mode="local", window=2)
     with pytest.raises(ValueError, match="physical memory"):
@@ -250,6 +252,32 @@ def test_memory_guard_reads_sizes_only():
     _small_config(n_sites=14)
     _small_config(n_sites=14, mode="local", window=2, grid=default_time_grid())
     _small_config(n_sites=30, initial_state="w_state")  # one-particle sector, D = 30
+    # 61 times: 16 * 61 * 4**12 bytes (16.4 GB) of N=12 window-12 matrices,
+    # 8 * comb(18, 9)**2 (18.9 GB) for a dense N=18 Hamiltonian, and
+    # 16 * 61 * comb(18, 9) (47 MB) of N=18 Slater amplitudes
+    with pytest.raises(ValueError, match="physical memory"):
+        make_default_config(mode="local", window=12)
+    make_default_config(mode="local", window=11)  # 4.1 GB
+    make_default_config(n_sites=18, g=0.0)
+    make_default_config(n_sites=18, g=0.0, initial_state="max_incoherent", mode="local", window=2)
+    with pytest.raises(ValueError, match="physical memory"):
+        make_default_config(n_sites=18, g=1.0)
+    with pytest.raises(ValueError, match="physical memory"):
+        make_default_config(n_sites=18, g=0.0, initial_state="max_coherent")
+
+
+@pytest.mark.parametrize("n_sites", range(4, 9))
+def test_slater_path_is_exactly_the_single_pattern_states(n_sites):
+    for name, factory in experiment._STATE_FACTORIES.items():
+        try:
+            psi0 = factory(n_sites)
+        except ValueError:  # an alternating state on an odd chain
+            continue
+        (_, amps), *others = psi0.blocks
+        single_pattern = not others and np.count_nonzero(amps) == 1
+        free = _small_config(n_sites=n_sites, initial_state=name, g=0.0)
+        assert experiment._slater(free) == single_pattern
+        assert not experiment._slater(replace(free, chain=replace(free.chain, g=1.0)))
 
 
 def test_short_time_limit_matches_initial_state():

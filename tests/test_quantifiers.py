@@ -145,17 +145,16 @@ def test_partial_trace_bell_pair():
 def test_partial_trace_matches_dense_oracle():
     rng = np.random.default_rng(37)
     sector = enumerate_sector(6, 3)
-    psi = BlockState(n_sites=6, blocks=((sector, random_pure_state(rng, sector.dim)),))
-    rho = partial_trace(psi, [3, 4])
-    ref = dense_partial_trace(psi.to_dense(), 6, [3, 4])
-    np.testing.assert_allclose(rho, ref, atol=1e-12)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
-
+    single = BlockState(n_sites=6, blocks=((sector, random_pure_state(rng, sector.dim)),))
     multi = BlockState.from_dense(random_pure_state(rng, 64), 6)
-    for window in ([1, 2], [2, 3, 4], [5, 6], [1]):
-        got = partial_trace(multi, window)
-        ref = dense_partial_trace(multi.to_dense(), 6, window)
-        np.testing.assert_allclose(got, ref, atol=1e-12)
+    for psi in (single, multi):
+        for width in range(1, 7):
+            for first in range(1, 8 - width):
+                window = list(range(first, first + width))
+                rho = partial_trace(psi, window)
+                ref = dense_partial_trace(psi.to_dense(), 6, window)
+                np.testing.assert_allclose(rho, ref, atol=1e-12)
+                assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_partial_trace_rejects_bad_windows():
@@ -202,6 +201,22 @@ def test_local_matches_dense_window_average():
     assert trip.P == pytest.approx(p / scale, abs=1e-10)
     assert trip.E == pytest.approx(e / scale, abs=1e-10)
     assert trip.C + trip.P + trip.E == pytest.approx(1.0, abs=1e-9)
+
+
+def test_local_equals_window_average_of_partial_traces():
+    rng = np.random.default_rng(47)
+    psi = _random_state_over_time(rng, 7, 4, None)
+    for n in range(1, 8):
+        c = p = e = 0.0
+        for first in range(1, 9 - n):
+            rho = partial_trace(psi, range(first, first + n))
+            c += coherence_l1(rho)
+            p += predictability_l1(rho)
+            e += entanglement_l1(rho)
+        scale = ((1 << n) - 1) * (8 - n)
+        trip = local_quantifiers(psi, n)
+        for got, total in ((trip.C, c), (trip.P, p), (trip.E, e)):
+            assert np.array_equal(got, total / scale)
 
 
 def test_local_rejects_bad_window_size():

@@ -11,7 +11,7 @@ or logarithmically drifting.
 __version__ = "0.1.0"
 
 from .detect import FitResult, FitWindow, fit_log, last_decade
-from .evolve import SpectralDecomposition, TimeGrid, decompose, default_time_grid, evolve_state
+from .evolve import SpectralDecomposition, TimeGrid, decompose, evolve_series
 from .experiment import (
     ExperimentConfig,
     TrajectoryRecord,
@@ -47,10 +47,9 @@ __all__ = [
     "build_hamiltonian",
     "coherence_l1",
     "decompose",
-    "default_time_grid",
     "enumerate_sector",
     "entanglement_l1",
-    "evolve_state",
+    "evolve_series",
     "fit_log",
     "full_space",
     "global_quantifiers",

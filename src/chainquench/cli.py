@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .blas import openblas
 from .detect import DEFAULT_ABS_TOL, DEFAULT_SIG, FitWindow, fit_log, last_decade
-from .evolve import default_time_grid
+from .evolve import TimeGrid
 from .experiment import (
     ExperimentConfig,
     TrajectoryRecord,
@@ -110,7 +110,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     try:
         return ExperimentConfig(
             chain=ChainParams(**given("n_sites", "J", "W", "g", "boundary")),
-            grid=default_time_grid(**raw.get("time_grid", {})),
+            grid=TimeGrid(**raw.get("time_grid", {})),
             **given("initial_state", "realizations", "master_seed", "mode", "window"),
         )
     except (ValueError, TypeError) as exc:
@@ -123,11 +123,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "initial_state": config.initial_state,
         "mode": config.mode,
         "window": config.window,
-        "time_grid": {
-            "t_min": float(config.grid.times[0]),
-            "t_max": float(config.grid.times[-1]),
-            "n_points": len(config.grid),
-        },
+        "time_grid": asdict(config.grid),
         "realizations": config.realizations,
         "master_seed": config.master_seed,
     }

@@ -5,18 +5,18 @@ V exp(-i lambda t) V^dagger, with no step-error accumulation at long times.
 `evolve_series` applies the full eigendecomposition of a many-body sector.
 `slater_series` needs only the N x N one-particle one: without interaction
 (g = 0) a basis state stays a Slater determinant, and its amplitudes are
-minors of the one-particle propagator.
+minors of the one-particle propagator. Both return time-major
+(n_times, dim) amplitudes over a `TimeGrid`'s times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .hilbert import Sector, enumerate_sector
-from .states import BlockState
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,36 +31,31 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing positive times, in units of 1/J."""
+    """n_points logarithmically spaced times from t_min to t_max, in units of 1/J."""
 
-    times: np.ndarray
+    t_min: float = 0.1
+    t_max: float = 1000.0
+    n_points: int = 61
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or len(times) == 0:
-            raise ValueError("time grid must be a nonempty 1-d array")
-        if times[0] <= 0:
-            raise ValueError("times must be positive")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
+        if not 0 < self.t_min < self.t_max < np.inf:
+            raise ValueError(f"need 0 < t_min < t_max < inf, got ({self.t_min}, {self.t_max})")
+        if self.n_points < 2:
+            raise ValueError("grid needs at least 2 points")
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-def default_time_grid(t_min: float = 0.1, t_max: float = 1000.0, n_points: int = 61) -> TimeGrid:
-    """Logarithmically spaced grid with exact endpoints."""
-    if not 0 < t_min < t_max:
-        raise ValueError(f"need 0 < t_min < t_max, got ({t_min}, {t_max})")
-    if n_points < 2:
-        raise ValueError("grid needs at least 2 points")
-    times = np.logspace(np.log10(t_min), np.log10(t_max), n_points)
-    times[0] = t_min
-    times[-1] = t_max
-    return TimeGrid(times=times)
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The grid as a read-only array, with exact endpoints."""
+        times = np.logspace(np.log10(self.t_min), np.log10(self.t_max), self.n_points)
+        times[0] = self.t_min
+        times[-1] = self.t_max
+        if not np.all(np.diff(times) > 0):
+            raise ValueError(f"{self.n_points} points between {self.t_min} and {self.t_max} "
+                             "are not strictly increasing")
+        times.setflags(write=False)
+        return times
 
 
 def decompose(H: np.ndarray) -> SpectralDecomposition:
@@ -78,12 +73,14 @@ def decompose(H: np.ndarray) -> SpectralDecomposition:
 def evolve_series(
     spec: SpectralDecomposition, amplitudes: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
-    """Amplitudes at every grid time, as a (dim, n_times) array."""
+    """Amplitudes at every grid time, as a time-major (n_times, dim) array."""
     if len(amplitudes) != spec.dim:
         raise ValueError(f"state has dim {len(amplitudes)}, decomposition {spec.dim}")
     coeffs = spec.eigenvectors.conj().T @ amplitudes
     phases = np.exp(np.outer(spec.eigenvalues, np.asarray(times)) * (-1j))
-    return spec.eigenvectors @ (phases * coeffs[:, None])
+    # the dim-major product, then a C-order copy: swapping the gemm operands
+    # would change the rounding of every amplitude
+    return np.ascontiguousarray((spec.eigenvectors @ (phases * coeffs[:, None])).T)
 
 
 @lru_cache(maxsize=None)
@@ -133,26 +130,3 @@ def slater_series(
         column = A[:, :, j - 1]
         minors = sum(s * column[:, sites[:, p]] * minors[:, rest[:, p]] for p, s in enumerate(sign))
     return minors
-
-
-def evolve_state(specs: dict[int, SpectralDecomposition], psi0: BlockState, t) -> BlockState:
-    """Evolve each block under specs[its particle number].
-
-    Blocks are matched by particle number, not by position or dimension:
-    sectors k and N - k have the same dimension but different Hamiltonians.
-    A scalar t gives (dim,) blocks; a 1-d array of times gives time-major
-    (n_times, dim) blocks.
-    """
-    times = np.asarray(t, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("time must be nonnegative")
-    blocks = []
-    for sector, amps in psi0.blocks:
-        spec = specs.get(sector.n_particles)
-        if spec is None:
-            raise ValueError(
-                f"no decomposition supplied for the {sector.n_particles}-particle block"
-            )
-        series = evolve_series(spec, amps, times.reshape(-1))
-        blocks.append((sector, series.T.reshape(times.shape + (-1,))))
-    return BlockState(n_sites=psi0.n_sites, blocks=tuple(blocks))

@@ -1,10 +1,11 @@
 """Disorder-averaged quench protocol.
 
 For each realization: draw on-site energies, build and diagonalize a
-Hamiltonian, evolve the chosen initial state over the time grid, and
-evaluate the quantifier triple at every time. Without interaction (g = 0) a
-basis state (`neel`, `max_incoherent`) evolves as a Slater determinant, from
-the N x N one-particle Hamiltonian; every other run diagonalizes the dense
+Hamiltonian, evolve the chosen initial state over the time grid into
+time-major (n_times, dim) blocks, and evaluate the quantifier triple at
+every time. Without interaction (g = 0) a basis state (`neel`,
+`max_incoherent`) evolves as a Slater determinant, from the N x N
+one-particle Hamiltonian; every other run diagonalizes the dense
 Hamiltonian of each sector the state occupies. Realizations are
 independent and may run on worker threads; aggregation always folds them
 in realization-index order. A worker pool pins OpenBLAS to one thread, so
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blas import blas_threads, one_blas_thread
-from .evolve import TimeGrid, decompose, default_time_grid, evolve_series, slater_series
+from .evolve import TimeGrid, decompose, evolve_series, slater_series
 from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from .hilbert import enumerate_sector
 from .quantifiers import global_quantifiers, local_quantifiers
@@ -85,28 +86,35 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.initial_state} requires an even chain, got N={self.chain.n_sites}"
             )
-        # largest array: the dense Hamiltonian of the largest sector the state
-        # occupies, or the (n_times, D) amplitudes of a Slater run; in local mode
-        # also the (n_times, 2^N) dense state and (n_times, 2^w, 2^w) windows.
-        # Every run builds an N x N matrix or larger, so 8 N^2 first rules out
-        # any N whose comb(N, k) or 2^N would itself take long to compute
+        # largest array, sized before any exists: the (n_times, D) amplitudes
+        # over the D states of every occupied sector (2^N for max_coherent),
+        # the dense Hamiltonian of the largest sector unless the run is a
+        # Slater one, and in local mode the (n_times, 2^N) dense state and
+        # (n_times, 2^w, 2^w) windows. Every run builds an N x N matrix or
+        # larger, so 8 N^2 first rules out any N whose comb(N, k) or 2^N would
+        # itself take long to compute
         n = self.chain.n_sites
-        n_times = len(self.grid)
+        n_times = self.grid.n_points
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         largest = 8 * n**2
         if largest <= memory:
             d = comb(n, 1 if self.initial_state == "w_state" else n // 2)
-            largest = max(largest, 16 * n_times * d if _slater(self) else 8 * d**2)
+            total = 2**n if self.initial_state == "max_coherent" else d
+            largest = max(largest, 16 * n_times * total)
+            if not _slater(self):
+                largest = max(largest, 8 * d**2)
             if self.mode == "local":
                 largest = max(largest, 16 * n_times * max(2**n, 4**self.window))
         if largest > memory:
             raise ValueError(
-                f"N={n} needs an array larger than the {memory / 2**30:.3g} GiB of physical memory"
+                f"N={n} with n_times={n_times} needs an array larger than the "
+                f"{memory / 2**30:.3g} GiB of physical memory"
             )
         if n > 63:
             raise ValueError(
                 f"basis states are 63-bit patterns, so a chain has at most 63 sites, got N={n}"
             )
+        self.grid.times  # builds the grid, which must be strictly increasing
 
     def warnings(self) -> tuple[str, ...]:
         if self.initial_state == "max_coherent":
@@ -152,7 +160,7 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
         blocks = []
         for sector, amps in psi0.blocks:
             spec = decompose(build_hamiltonian(config.chain, eps, sector))
-            blocks.append((sector, evolve_series(spec, amps, times).T))
+            blocks.append((sector, evolve_series(spec, amps, times)))
     psi_t = BlockState(n_sites=psi0.n_sites, blocks=tuple(blocks))
 
     if config.mode == "global":
@@ -238,14 +246,14 @@ def make_default_config(
     window: int | None = None,
     realizations: int = 100,
     master_seed: int = 0,
-    grid: TimeGrid | None = None,
+    grid: TimeGrid = TimeGrid(),
     boundary: str = "open",
 ) -> ExperimentConfig:
     """Convenience constructor with the headline protocol defaults."""
     return ExperimentConfig(
         chain=ChainParams(n_sites=n_sites, J=J, W=W, g=g, boundary=boundary),
         initial_state=initial_state,
-        grid=grid if grid is not None else default_time_grid(),
+        grid=grid,
         realizations=realizations,
         master_seed=master_seed,
         mode=mode,

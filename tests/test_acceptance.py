@@ -14,7 +14,7 @@ import scipy.linalg
 
 from chainquench.cli import main as cli_main
 from chainquench.detect import LOG_DECAY, SATURATED, FitWindow, fit_log, last_decade
-from chainquench.evolve import decompose, default_time_grid, evolve_series
+from chainquench.evolve import TimeGrid, decompose, evolve_series
 from chainquench.experiment import (
     make_default_config,
     realization_seed,
@@ -117,7 +117,7 @@ def test_criterion_02_strict_cr_pure_states():
 def test_criterion_03_small_chain_oracle_equivalence():
     n = 6
     params = ChainParams(n_sites=n, J=1.0, W=3.0, g=1.0)
-    grid = default_time_grid(0.1, 1000.0, 10)
+    grid = TimeGrid(0.1, 1000.0, 10)
     psi0 = neel(n)
     ((sector0, amps0),) = psi0.blocks
     scale_global = (1 << n) - 1
@@ -131,7 +131,7 @@ def test_criterion_03_small_chain_oracle_equivalence():
         dense_h = dense_hamiltonian(n, params.J, params.W, params.g, eps)
         psi_dense0 = psi0.to_dense()
         for j, t in enumerate(grid.times):
-            psi_t = BlockState(n_sites=n, blocks=((sector0, series[:, j]),))
+            psi_t = BlockState(n_sites=n, blocks=((sector0, series[j]),))
             vec = scipy.linalg.expm(-1j * dense_h * t) @ psi_dense0
             rho = np.outer(vec, vec.conj())
 
@@ -164,11 +164,11 @@ def test_criterion_04_two_site_analytic():
     params = ChainParams(n_sites=2, J=1.0, W=0.0, g=0.0)
     spec = decompose(build_hamiltonian(params, sample_disorder(2, 0), sector))
     amps0 = np.array([1.0 + 0j, 0.0])
-    grid = default_time_grid(0.1, 1000.0, 50)
+    grid = TimeGrid(0.1, 1000.0, 50)
     series = evolve_series(spec, amps0, grid.times)
     worst = 0.0
     for j, t in enumerate(grid.times):
-        trip = global_quantifiers(BlockState(n_sites=2, blocks=((sector, series[:, j]),)))
+        trip = global_quantifiers(BlockState(n_sites=2, blocks=((sector, series[j]),)))
         worst = max(worst, abs(trip.C - abs(np.sin(2 * t)) / 3.0))
         worst = max(worst, abs(trip.P - (1.0 - abs(np.sin(2 * t)) / 3.0)))
     ok = worst <= 1e-9
@@ -178,7 +178,7 @@ def test_criterion_04_two_site_analytic():
 
 
 def test_criterion_05_conservation_suite():
-    grid = default_time_grid()
+    grid = TimeGrid()
     cases = [
         ("neel N=12 W=2 g=0", neel(12), ChainParams(n_sites=12, J=1.0, W=2.0, g=0.0)),
         ("neel N=12 W=2 g=1", neel(12), ChainParams(n_sites=12, J=1.0, W=2.0, g=1.0)),
@@ -199,8 +199,8 @@ def test_criterion_05_conservation_suite():
             e0_total += float(np.real(amps.conj() @ H @ amps))
             series.append((H, evolve_series(spec, amps, grid.times)))
         weights0 = [float(np.sum(np.abs(a) ** 2)) for _, a in blocks]
-        for j in range(len(grid)):
-            cols = [arr[:, j] for _, arr in series]
+        for j in range(grid.n_points):
+            cols = [arr[j] for _, arr in series]
             norms = [float(np.sum(np.abs(c) ** 2)) for c in cols]
             worst_norm = max(worst_norm, abs(sum(norms) - 1.0))
             energy = sum(float(np.real(c.conj() @ H @ c)) for (H, _), c in zip(series, cols))

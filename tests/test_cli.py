@@ -3,9 +3,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainquench.blas import blas_threads, openblas
-from chainquench.cli import MANIFEST_FORMAT_VERSION, main
+from chainquench.cli import (
+    _FIELDS,
+    MANIFEST_FORMAT_VERSION,
+    _checked,
+    config_to_dict,
+    main,
+    parse_config,
+)
+from chainquench.evolve import TimeGrid
+from chainquench.experiment import ExperimentConfig
+from chainquench.hamiltonian import ChainParams
 
 BASE_CONFIG = {
     "n_sites": 6,
@@ -133,6 +145,8 @@ def test_seed_override(tmp_path):
         {"time_grid": {"t_min": True}},
         {"time_grid": {"t_max": "10"}},
         {"n_sites": 40},  # too large for memory; rejected before any enumeration
+        {"time_grid": {"t_max": float("inf")}},  # written as the JSON literal Infinity
+        {"time_grid": {"t_min": 1.0, "t_max": 1.0 + 2**-52, "n_points": 100}},  # not increasing
     ],
     ids=lambda overrides: ",".join(f"{k}={v!r}" for k, v in overrides.items()),
 )
@@ -176,12 +190,46 @@ def test_run_sizes_window_matrices_and_slater_amplitudes(tmp_path, host_with_8_g
     cfg = _write_config(tmp_path, n_sites=18, realizations=1)
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert "physical memory" in capsys.readouterr().err
+    # the time axis alone: 16 * n_times * D bytes of amplitudes, D = 924 at
+    # N=12 Neel, 6 at N=4 and 2**12 for max_coherent at N=12
+    for overrides in ({"n_sites": 12, "time_grid": {"n_points": 10**6}},
+                      {"n_sites": 4, "time_grid": {"n_points": 10**12}},
+                      {"n_sites": 12, "initial_state": "max_coherent",
+                       "time_grid": {"n_points": 150_000}}):
+        cfg = _write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"n_times={overrides['time_grid']['n_points']} " in capsys.readouterr().err
     assert not out.exists()
     # without interaction the Neel state needs only its (n_times, comb(18, 9)) amplitudes
     grid = {"t_min": 0.1, "t_max": 1000.0, "n_points": 5}
     cfg = _write_config(tmp_path, n_sites=18, g=0.0, realizations=1, time_grid=grid)
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert (out / "trajectory.csv").exists()
+
+
+@st.composite
+def _configs(draw):
+    n_sites = draw(st.integers(2, 8))
+    mode = draw(st.sampled_from(["global", "local"]))
+    states = ["w_state", "max_coherent"] + (["neel", "max_incoherent"] if n_sites % 2 == 0 else [])
+    t_min = draw(st.floats(1e-6, 1e6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return ExperimentConfig(
+        chain=ChainParams(n_sites, draw(finite), draw(finite), draw(finite),
+                          draw(st.sampled_from(["open", "periodic"]))),
+        initial_state=draw(st.sampled_from(states)),
+        grid=TimeGrid(t_min, t_min * draw(st.floats(1.5, 1e9)), draw(st.integers(2, 100))),
+        realizations=draw(st.integers(1, 10**6)),
+        master_seed=draw(st.integers(0, 2**64)),
+        mode=mode,
+        window=draw(st.integers(1, n_sites)) if mode == "local" else None,
+    )
+
+
+@given(_configs())
+def test_config_round_trips_through_its_json(config):
+    echoed = json.loads(json.dumps(config_to_dict(config)))
+    assert parse_config(_checked("config", echoed, _FIELDS)) == config
 
 
 @pytest.mark.parametrize("mode,window", [("global", None), ("local", 2)])

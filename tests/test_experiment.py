@@ -5,7 +5,7 @@ import pytest
 
 from chainquench import experiment
 from chainquench.blas import blas_threads, one_blas_thread, openblas
-from chainquench.evolve import decompose, default_time_grid, evolve_state
+from chainquench.evolve import TimeGrid, decompose, evolve_series
 from chainquench.experiment import (
     make_default_config,
     realization_seed,
@@ -14,7 +14,7 @@ from chainquench.experiment import (
 )
 from chainquench.hamiltonian import build_hamiltonian, sample_disorder
 from chainquench.quantifiers import global_quantifiers, local_quantifiers
-from chainquench.states import neel
+from chainquench.states import BlockState, neel
 
 
 def _small_config(**overrides):
@@ -25,7 +25,7 @@ def _small_config(**overrides):
         initial_state="neel",
         realizations=3,
         master_seed=101,
-        grid=default_time_grid(0.1, 100.0, 13),
+        grid=TimeGrid(0.1, 100.0, 13),
     )
     defaults.update(overrides)
     return make_default_config(**defaults)
@@ -192,13 +192,13 @@ def test_neel_realization_builds_through_the_experiment_bindings(
 
 def _dense_fields(config):
     """run_experiment's statistics, every realization on the dense sector path."""
-    psi0 = neel(config.chain.n_sites)
-    ((sector, _),) = psi0.blocks
+    ((sector, amps0),) = neel(config.chain.n_sites).blocks
     rows = []
     for k in range(config.realizations):
         eps = sample_disorder(config.chain.n_sites, realization_seed(config.master_seed, k))
-        specs = {sector.n_particles: decompose(build_hamiltonian(config.chain, eps, sector))}
-        psi_t = evolve_state(specs, psi0, config.grid.times)
+        spec = decompose(build_hamiltonian(config.chain, eps, sector))
+        series = evolve_series(spec, amps0, config.grid.times)
+        psi_t = BlockState(n_sites=config.chain.n_sites, blocks=((sector, series),))
         if config.mode == "global":
             trip = global_quantifiers(psi_t)
         else:
@@ -250,7 +250,7 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     with pytest.raises(ValueError, match="physical memory"):
         _small_config(n_sites=10**12, initial_state="w_state")  # settled without comb(N, k)
     _small_config(n_sites=14)
-    _small_config(n_sites=14, mode="local", window=2, grid=default_time_grid())
+    _small_config(n_sites=14, mode="local", window=2, grid=TimeGrid())
     _small_config(n_sites=30, initial_state="w_state")  # one-particle sector, D = 30
     # 61 times: 16 * 61 * 4**12 bytes (16.4 GB) of N=12 window-12 matrices,
     # 8 * comb(18, 9)**2 (18.9 GB) for a dense N=18 Hamiltonian, and
@@ -264,6 +264,16 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
         make_default_config(n_sites=18, g=1.0)
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(n_sites=18, g=0.0, initial_state="max_coherent")
+    # the time axis: 16 * n_times * D bytes of amplitudes on every path, D
+    # summed over the occupied sectors (2**12 for max_coherent at N=12)
+    with pytest.raises(ValueError, match="n_times=1000000 .* physical memory"):
+        make_default_config(grid=TimeGrid(n_points=10**6))  # 14.8 GB at D=924
+    make_default_config(grid=TimeGrid(n_points=5 * 10**5))  # 7.4 GB
+    with pytest.raises(ValueError, match="physical memory"):
+        _small_config(n_sites=4, grid=TimeGrid(n_points=10**12))  # settled before any array
+    with pytest.raises(ValueError, match="physical memory"):
+        make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=150_000))  # 9.8 GB
+    make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=100_000))  # 6.6 GB
 
 
 @pytest.mark.parametrize("n_sites", range(4, 9))
@@ -281,7 +291,7 @@ def test_slater_path_is_exactly_the_single_pattern_states(n_sites):
 
 
 def test_short_time_limit_matches_initial_state():
-    grid = default_time_grid(1e-3, 1.0, 7)
+    grid = TimeGrid(1e-3, 1.0, 7)
     record = run_experiment(_small_config(grid=grid, realizations=2))
     # first grid point sits close to t = 0, where the state is still classical
     assert abs(record.c_mean[0] - 0.0) < 1e-2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainquench.evolve import decompose, evolve_state
+from chainquench.evolve import decompose, evolve_series
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
 from chainquench.quantifiers import (
@@ -101,9 +101,10 @@ def test_global_two_site_analytic():
     sector = enumerate_sector(2, 1)
     params = ChainParams(n_sites=2, J=1.0, W=0.0, g=0.0)
     spec = decompose(build_hamiltonian(params, sample_disorder(2, 0), sector))
-    psi0 = BlockState(n_sites=2, blocks=((sector, np.array([1.0 + 0j, 0.0])),))
-    for t in np.linspace(0.05, 8.0, 40):
-        trip = global_quantifiers(evolve_state({1: spec}, psi0, float(t)))
+    times = np.linspace(0.05, 8.0, 40)
+    series = evolve_series(spec, np.array([1.0 + 0j, 0.0]), times)
+    for j, t in enumerate(times):
+        trip = global_quantifiers(BlockState(n_sites=2, blocks=((sector, series[j]),)))
         assert trip.C == pytest.approx(abs(np.sin(2 * t)) / 3.0, abs=1e-12)
         assert trip.P == pytest.approx(1.0 - abs(np.sin(2 * t)) / 3.0, abs=1e-12)
 

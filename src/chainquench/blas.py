@@ -3,8 +3,11 @@
 Each realization worker calls LAPACK's `eigh`, and OpenBLAS starts its own
 threads inside every call, so a worker pool on top of them oversubscribes
 the cores. `one_blas_thread` pins OpenBLAS to one thread while a pool runs.
-The thread count changes the bits `eigh` returns for large enough matrices,
-so a run records the count it computed under.
+Outside a pool, `blas_threads_for` runs the `eigh` and propagation products
+of a matrix below `ONE_THREAD_BELOW` rows on one thread, where a second
+thread saves little time and spins for the rest. The thread count changes
+the bits `eigh` returns for large enough matrices, so a run records the
+count its sectors at or above that dimension computed under.
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ import numpy as np
 
 # symbol prefix and suffix, in the order they are tried
 _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
+
+# Matrices of smaller dimension run on one OpenBLAS thread. On a 2-core Xeon
+# (OpenBLAS 0.3.31, default 2 threads) a second thread cut eigh's wall time
+# by at most a sixth below it (D=330: 9.2 vs 7.7 ms), for twice the CPU
+# time, by 9-22% at it and by 20-44% from D=495 up (D=924: 119 vs 71 ms)
+ONE_THREAD_BELOW = 462
 
 
 @dataclass(frozen=True)
@@ -75,3 +84,19 @@ def one_blas_thread() -> Iterator[int | None]:
         yield 1
     finally:
         lib.set_num_threads(previous)
+
+
+@contextmanager
+def blas_threads_for(dim: int) -> Iterator[None]:
+    """`one_blas_thread` for a matrix of dimension below `ONE_THREAD_BELOW`.
+
+    The count is only ever lowered. At or above that dimension, when the
+    count is already 1 (inside `one_blas_thread`), or when OpenBLAS is not
+    found, the block runs unchanged and no thread count is set, so pool
+    workers never touch the process-wide setting.
+    """
+    if dim < ONE_THREAD_BELOW and blas_threads() not in (None, 1):
+        with one_blas_thread():
+            yield
+    else:
+        yield

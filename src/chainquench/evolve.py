@@ -6,7 +6,9 @@ V exp(-i lambda t) V^dagger, with no step-error accumulation at long times.
 `slater_series` needs only the N x N one-particle one: without interaction
 (g = 0) a basis state stays a Slater determinant, and its amplitudes are
 minors of the one-particle propagator. Both return time-major
-(n_times, dim) amplitudes over a `TimeGrid`'s times.
+(n_times, dim) amplitudes over a `TimeGrid`'s times. `decompose` and
+`evolve_series` run their BLAS calls on one OpenBLAS thread for a sector
+below `blas.ONE_THREAD_BELOW` states.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .blas import blas_threads_for
 from .hilbert import Sector, enumerate_sector
 
 
@@ -61,7 +64,8 @@ class TimeGrid:
 def decompose(H: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a dense real symmetric sector Hamiltonian."""
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(H)
+        with blas_threads_for(len(H)):
+            eigenvalues, eigenvectors = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"eigendecomposition failed for dim={len(H)} matrix "
@@ -76,11 +80,15 @@ def evolve_series(
     """Amplitudes at every grid time, as a time-major (n_times, dim) array."""
     if len(amplitudes) != spec.dim:
         raise ValueError(f"state has dim {len(amplitudes)}, decomposition {spec.dim}")
-    coeffs = spec.eigenvectors.conj().T @ amplitudes
-    phases = np.exp(np.outer(spec.eigenvalues, np.asarray(times)) * (-1j))
-    # the dim-major product, then a C-order copy: swapping the gemm operands
-    # would change the rounding of every amplitude
-    return np.ascontiguousarray((spec.eigenvectors @ (phases * coeffs[:, None])).T)
+    with blas_threads_for(spec.dim):
+        coeffs = spec.eigenvectors.conj().T @ amplitudes
+        phases = np.exp(np.outer(spec.eigenvalues, np.asarray(times)) * (-1j))
+        phases *= coeffs[:, None]
+        # the dim-major product, then a C-order copy: swapping the gemm
+        # operands would change the rounding of every amplitude
+        product = spec.eigenvectors @ phases
+    del phases  # so at most two (n_times, dim) complex arrays live at once
+    return np.ascontiguousarray(product.T)
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,11 @@ Hamiltonian of each sector the state occupies. Realizations are
 independent and may run on worker threads; aggregation always folds them
 in realization-index order. A worker pool pins OpenBLAS to one thread, so
 runs with two or more workers are bit-identical to each other. A serial run
-keeps the library's default BLAS threads; its `eigh` bits, and so the
-results, can differ from a pooled run's in the last digits.
+keeps the library's default BLAS threads only for the `eigh` and
+propagation of sectors of `blas.ONE_THREAD_BELOW` (462) states or more, and
+runs smaller sectors on one thread. So a serial run whose sectors all lie
+below that dimension is bit-identical to a pooled run; otherwise its
+results can differ from one in the last digits.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.initial_state} requires an even chain, got N={self.chain.n_sites}"
             )
-        # largest array, sized before any exists: the (n_times, D) amplitudes
-        # over the D states of every occupied sector (2^N for max_coherent),
+        # largest arrays, sized before any exists: two (n_times, D) amplitude
+        # arrays, as propagation holds a product and its C-order copy, over
+        # the D states of every occupied sector (2^N for max_coherent),
         # the dense Hamiltonian of the largest sector unless the run is a
         # Slater one, and in local mode the (n_times, 2^N) dense state and
         # (n_times, 2^w, 2^w) windows. Every run builds an N x N matrix or
@@ -100,14 +104,14 @@ class ExperimentConfig:
         if largest <= memory:
             d = comb(n, 1 if self.initial_state == "w_state" else n // 2)
             total = 2**n if self.initial_state == "max_coherent" else d
-            largest = max(largest, 16 * n_times * total)
+            largest = max(largest, 32 * n_times * total)
             if not _slater(self):
                 largest = max(largest, 8 * d**2)
             if self.mode == "local":
                 largest = max(largest, 16 * n_times * max(2**n, 4**self.window))
         if largest > memory:
             raise ValueError(
-                f"N={n} with n_times={n_times} needs an array larger than the "
+                f"N={n} with n_times={n_times} needs more than the "
                 f"{memory / 2**30:.3g} GiB of physical memory"
             )
         if n > 63:
@@ -137,7 +141,9 @@ class TrajectoryRecord:
     seeds: tuple[int, ...]
     warnings: tuple[str, ...]
     workers: int = 1
-    blas_threads: int | None = None  # OpenBLAS threads during compute; None if unknown
+    # OpenBLAS threads that sectors of blas.ONE_THREAD_BELOW states or more
+    # computed under (smaller ones ran on one); None when OpenBLAS is not found
+    blas_threads: int | None = None
 
 
 def realization_seed(master_seed: int, index: int) -> int:

@@ -56,8 +56,9 @@ def test_worker_count_does_not_change_results():
     assert serial.seeds == threaded.seeds
 
 
-# N=10 (D=252) is the smallest Neel sector whose eigh bits change between one
-# and two BLAS threads on a 2-core OpenBLAS host
+# A serial run decomposes and propagates sectors below blas.ONE_THREAD_BELOW
+# (462) states on one BLAS thread, as a pool does: N=10 (D=252) runs give the
+# same bits either way, while N=12 Neel (D=924) keeps the default count
 needs_openblas = pytest.mark.skipif(openblas() is None, reason="OpenBLAS not found")
 
 
@@ -76,11 +77,20 @@ def test_pooled_run_equals_serial_run_on_one_blas_thread():
         assert np.array_equal(a, b)
 
 
+@needs_openblas
 def test_pooled_run_close_to_default_serial_run():
     config = _small_config(n_sites=10, realizations=2)
     serial = run_experiment(config)
     pooled = run_experiment(config, n_workers=2)
     assert (serial.workers, pooled.workers) == (1, 2)
+    for a, b in zip(_fields(serial), _fields(pooled)):
+        assert np.array_equal(a, b)
+
+
+def test_pooled_run_close_to_default_serial_run_at_n12():
+    config = _small_config(n_sites=12, realizations=1)
+    serial = run_experiment(config)
+    pooled = run_experiment(config, n_workers=2)
     for a, b in zip(_fields(serial), _fields(pooled)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -264,16 +274,19 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
         make_default_config(n_sites=18, g=1.0)
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(n_sites=18, g=0.0, initial_state="max_coherent")
-    # the time axis: 16 * n_times * D bytes of amplitudes on every path, D
-    # summed over the occupied sectors (2**12 for max_coherent at N=12)
+    # the time axis: two arrays of 16 * n_times * D bytes of amplitudes on
+    # every path, D summed over the occupied sectors (2**12 for max_coherent
+    # at N=12)
     with pytest.raises(ValueError, match="n_times=1000000 .* physical memory"):
-        make_default_config(grid=TimeGrid(n_points=10**6))  # 14.8 GB at D=924
-    make_default_config(grid=TimeGrid(n_points=5 * 10**5))  # 7.4 GB
+        make_default_config(grid=TimeGrid(n_points=10**6))  # 29.6 GB at D=924
+    with pytest.raises(ValueError, match="physical memory"):
+        make_default_config(grid=TimeGrid(n_points=5 * 10**5))  # 14.8 GB
+    make_default_config(grid=TimeGrid(n_points=250_000))  # 7.4 GB
     with pytest.raises(ValueError, match="physical memory"):
         _small_config(n_sites=4, grid=TimeGrid(n_points=10**12))  # settled before any array
     with pytest.raises(ValueError, match="physical memory"):
-        make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=150_000))  # 9.8 GB
-    make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=100_000))  # 6.6 GB
+        make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=100_000))  # 13.1 GB
+    make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=50_000))  # 6.6 GB
 
 
 @pytest.mark.parametrize("n_sites", range(4, 9))

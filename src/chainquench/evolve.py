@@ -6,9 +6,12 @@ V exp(-i lambda t) V^dagger, with no step-error accumulation at long times.
 `slater_series` needs only the N x N one-particle one: without interaction
 (g = 0) a basis state stays a Slater determinant, and its amplitudes are
 minors of the one-particle propagator. Both return time-major
-(n_times, dim) amplitudes over a `TimeGrid`'s times. `decompose` and
-`evolve_series` run their BLAS calls on one OpenBLAS thread for a sector
-below `blas.ONE_THREAD_BELOW` states.
+(n_times, dim) amplitudes over a `TimeGrid`'s times. The sector
+Hamiltonians are real symmetric, so their eigenvectors V are real, and
+`evolve_series` propagates the real and imaginary parts of a state with real
+products of V: no complex copy of V is made. `decompose` and `evolve_series`
+run their BLAS calls on one OpenBLAS thread for a sector below
+`blas.ONE_THREAD_BELOW` states.
 """
 
 from __future__ import annotations
@@ -77,18 +80,29 @@ def decompose(H: np.ndarray) -> SpectralDecomposition:
 def evolve_series(
     spec: SpectralDecomposition, amplitudes: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
-    """Amplitudes at every grid time, as a time-major (n_times, dim) array."""
+    """Amplitudes at every grid time, as a time-major (n_times, dim) array.
+
+    The eigenvectors must be real, as those of a real symmetric H are, so
+    every product runs in real arithmetic on the real and imaginary parts.
+    """
     if len(amplitudes) != spec.dim:
         raise ValueError(f"state has dim {len(amplitudes)}, decomposition {spec.dim}")
+    V = spec.eigenvectors
+    if np.iscomplexobj(V):
+        raise ValueError("evolve_series needs real eigenvectors, of a real symmetric matrix")
+    amplitudes = np.asarray(amplitudes)
+    n_times = len(times)
     with blas_threads_for(spec.dim):
-        coeffs = spec.eigenvectors.conj().T @ amplitudes
-        phases = np.exp(np.outer(spec.eigenvalues, np.asarray(times)) * (-1j))
-        phases *= coeffs[:, None]
-        # the dim-major product, then a C-order copy: swapping the gemm
-        # operands would change the rounding of every amplitude
-        product = spec.eigenvectors @ phases
-    del phases  # so at most two (n_times, dim) complex arrays live at once
-    return np.ascontiguousarray(product.T)
+        re, im = (V.T @ np.stack([amplitudes.real, amplitudes.imag], axis=1)).T
+        phases = np.exp(np.outer(times, spec.eigenvalues) * (-1j))
+        phases *= re + 1j * im
+        parts = np.concatenate([phases.real, phases.imag])  # (2 n_times, dim)
+        del phases  # so at most two (n_times, dim) complex arrays live at once
+        product = parts @ V.T
+    del parts
+    series = np.empty((n_times, spec.dim), dtype=complex)
+    series.real, series.imag = product[:n_times], product[n_times:]
+    return series
 
 
 @lru_cache(maxsize=None)

@@ -89,14 +89,20 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.initial_state} requires an even chain, got N={self.chain.n_sites}"
             )
-        # largest arrays, sized before any exists: two (n_times, D) amplitude
-        # arrays, as propagation holds a product and its C-order copy, over
-        # the D states of every occupied sector (2^N for max_coherent),
-        # the dense Hamiltonian of the largest sector unless the run is a
-        # Slater one, and in local mode the (n_times, 2^N) dense state and
-        # (n_times, 2^w, 2^w) windows. Every run builds an N x N matrix or
-        # larger, so 8 N^2 first rules out any N whose comb(N, k) or 2^N would
-        # itself take long to compute
+        # peak memory of the largest step, sized before any array exists:
+        # - two (n_times, D) amplitude arrays on the dense path, over the D
+        #   states of every occupied sector (2^N for max_coherent), and four
+        #   on the Slater path, whose Laplace steps sum products of gathered
+        #   minors (tracemalloc, N=12 and 14 Néel, 200 times: 4.0 of them);
+        # - 5.2 dense Hamiltonians of the largest sector unless the run is a
+        #   Slater one: H, numpy's Fortran copy of it, eigh's 2 D^2 workspace
+        #   and the eigenvectors (ru_maxrss of a child, N=14 Néel, D=3432);
+        # - in local mode, the amplitudes, the (n_times, 2^N) dense state and
+        #   one transposed copy of it (tracemalloc, N=10 max_coherent: 3.07
+        #   dense states), or one window's (n_times, 2^w, 2^w) matrices and
+        #   their real Gram, twice their size (N=10, w=8 and 9: 3.0).
+        # Every run builds an N x N matrix or larger, so 8 N^2 first rules out
+        # any N whose comb(N, k) or 2^N would itself take long to compute
         n = self.chain.n_sites
         n_times = self.grid.n_points
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -104,11 +110,12 @@ class ExperimentConfig:
         if largest <= memory:
             d = comb(n, 1 if self.initial_state == "w_state" else n // 2)
             total = 2**n if self.initial_state == "max_coherent" else d
-            largest = max(largest, 32 * n_times * total)
-            if not _slater(self):
-                largest = max(largest, 8 * d**2)
+            if _slater(self):
+                largest = max(largest, 4 * 16 * n_times * total)
+            else:
+                largest = max(largest, 2 * 16 * n_times * total, 5.2 * 8 * d**2)
             if self.mode == "local":
-                largest = max(largest, 16 * n_times * max(2**n, 4**self.window))
+                largest = max(largest, 16 * n_times * max(total + 2 * 2**n, 3 * 4**self.window))
         if largest > memory:
             raise ValueError(
                 f"N={n} with n_times={n_times} needs more than the "

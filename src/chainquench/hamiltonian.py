@@ -3,12 +3,15 @@
 The model is nearest-neighbour hopping J, on-site disorder W * eps_i with
 eps_i uniform on [-1, 1], and an optional nearest-neighbour density-density
 interaction g. g = 0 is the non-interacting (Anderson) chain. All matrix
-elements are real; matrices are stored dense and exactly symmetric.
+elements are real; matrices are stored dense and exactly symmetric. The
+parts that do not depend on the disorder (occupations, hop positions and
+string signs) are computed once per sector and bond list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +55,36 @@ def sample_disorder(n_sites: int, seed: int) -> np.ndarray:
     return eps
 
 
+@lru_cache(maxsize=None)
+def _hop_tables(
+    sector: Sector, bonds: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The disorder-free parts of every Hamiltonian on `sector`, read-only.
+
+    `occupation[m, i]` is n_{i+1} of basis state m. Every hop along a bond,
+    in bond order, is one entry of `flat` (its row * dim + column in the
+    dense matrix) and of `sign`, the fermionic string sign of the hop.
+    """
+    states = sector.states
+    occupation = ((states[:, None] >> np.arange(sector.n_sites)) & 1).astype(np.float64)
+    flat, sign = [], []
+    for a, b in bonds:
+        bit_a = np.int64(1 << (a - 1))
+        bit_b = np.int64(1 << (b - 1))
+        hoppable = ((states & bit_a) != 0) ^ ((states & bit_b) != 0)
+        src = states[hoppable]
+        dst = src ^ (bit_a | bit_b)
+        # sign is the parity of occupied sites strictly between the bond ends;
+        # it is the same for both hop directions
+        crossed = np.bitwise_count(src & np.int64(sites_between_mask(a, b)))
+        sign.append(1.0 - 2.0 * (crossed & 1))
+        flat.append(np.searchsorted(states, dst) * sector.dim + np.flatnonzero(hoppable))
+    tables = occupation, np.concatenate(flat), np.concatenate(sign)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def build_hamiltonian(params: ChainParams, eps: np.ndarray, sector: Sector) -> np.ndarray:
     """Dense real symmetric Hamiltonian in the ascending basis order of `sector`.
 
@@ -65,29 +98,13 @@ def build_hamiltonian(params: ChainParams, eps: np.ndarray, sector: Sector) -> n
     if sector.n_sites != params.n_sites:
         raise ValueError(f"sector is for {sector.n_sites} sites, params for {params.n_sites}")
 
-    states = sector.states
+    bonds = tuple(params.bonds())
+    occupation, flat, sign = _hop_tables(sector, bonds)
     dim = sector.dim
-    # occupation[m, i] = n_{i+1} of basis state m
-    occupation = ((states[:, None] >> np.arange(params.n_sites)) & 1).astype(np.float64)
-
     H = np.zeros((dim, dim))
     diag = params.W * (occupation @ eps)
-    for a, b in params.bonds():
+    for a, b in bonds:
         diag += params.g * occupation[:, a - 1] * occupation[:, b - 1]
     H[np.diag_indices(dim)] = diag
-
-    for a, b in params.bonds():
-        bit_a = np.int64(1 << (a - 1))
-        bit_b = np.int64(1 << (b - 1))
-        hoppable = ((states & bit_a) != 0) ^ ((states & bit_b) != 0)
-        src = states[hoppable]
-        dst = src ^ (bit_a | bit_b)
-        # sign is the parity of occupied sites strictly between the bond ends;
-        # it is the same for both hop directions
-        crossed = np.bitwise_count(src & np.int64(sites_between_mask(a, b)))
-        sign = 1.0 - 2.0 * (crossed & 1)
-        rows = np.searchsorted(states, dst)
-        cols = np.flatnonzero(hoppable)
-        np.add.at(H, (rows, cols), params.J * sign)
-
+    np.add.at(H.reshape(-1), flat, params.J * sign)
     return H

@@ -11,7 +11,8 @@ of the relevant space, making the three quantities sum to one. Global
 quantities use the full 2^N computational dimension (components outside
 the occupied particle-number sectors are zero and contribute nothing);
 n-site window quantities use 2^n. Window density matrices come from the
-state's dense 2^N amplitudes (`BlockState.to_dense`), reshaped per window.
+state's dense 2^N amplitudes (`BlockState.to_dense`): one transposed copy of
+their real and imaginary parts per window and one real Gram matrix.
 """
 
 from __future__ import annotations
@@ -92,12 +93,26 @@ def global_quantifiers(psi: BlockState) -> QuantifierTriple:
 
 
 def _window_matrix(dense: np.ndarray, first_site: int, width: int) -> np.ndarray:
-    """(..., 2^w, 2^w) density matrix of one site window, from all 2^N amplitudes."""
-    # pattern bits are (high, window, low), low = first_site - 1 bits; m is (window, high low)
+    """(..., 2^w, 2^w) density matrix of one site window, from all 2^N amplitudes.
+
+    rho = x x^T + y y^T + i (y x^T - x y^T) for the real and imaginary parts
+    x, y of the (window, rest) amplitude matrix, taken from one real Gram
+    matrix of the rows of x and y interleaved.
+    """
+    # pattern bits are (high, window, low), low = first_site - 1 bits, and the
+    # float64 view adds a (re, im) axis; r is (window re/im, high low)
     lead = dense.shape[:-1]
-    m = dense.reshape(lead + (-1, 1 << width, 1 << (first_site - 1))).swapaxes(-3, -2)
-    m = m.reshape(lead + (1 << width, -1))
-    return m @ m.conj().swapaxes(-1, -2)
+    d = 1 << width
+    low = 1 << (first_site - 1)
+    parts = dense.view(np.float64).reshape((-1, dense.shape[-1] // (d * low), d, low, 2))
+    r = parts.transpose(0, 2, 4, 1, 3).reshape((len(parts), 2 * d, -1))
+    # a 3-D stack even at one time, so each time's Gram is the same product
+    # whether the state holds one time or many
+    g = r @ r.swapaxes(-1, -2)
+    rho = np.empty((len(g), d, d), dtype=complex)
+    np.add(g[:, 0::2, 0::2], g[:, 1::2, 1::2], out=rho.real)
+    np.subtract(g[:, 1::2, 0::2], g[:, 0::2, 1::2], out=rho.imag)
+    return rho.reshape(lead + (d, d))
 
 
 def partial_trace(psi: BlockState, keep_sites: Sequence[int]) -> np.ndarray:
@@ -138,6 +153,7 @@ def local_quantifiers(psi: BlockState, n: int) -> QuantifierTriple:
         c_sum += coherence_l1(rho)
         p_sum += predictability_l1(rho)
         e_sum += entanglement_l1(rho)
+        del rho  # before the next window's Gram, which is twice its size
     scale = ((1 << n) - 1) * n_windows
     return QuantifierTriple(C=c_sum / scale, P=p_sum / scale, E=e_sum / scale)
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chainquench.evolve import TimeGrid, decompose, evolve_series, slater_series
+from chainquench.evolve import (
+    SpectralDecomposition,
+    TimeGrid,
+    decompose,
+    evolve_series,
+    slater_series,
+)
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector, full_space
 from chainquench.states import BlockState, max_coherent, neel
@@ -87,9 +93,34 @@ def test_evolve_series_is_time_major():
     times = TimeGrid(0.1, 100.0, 7).times
     series = evolve_series(spec, amps, times)
     assert series.shape == (7, 6) and series.flags.c_contiguous
+    # in real arithmetic: the coefficients' parts from one product with V^T,
+    # then the phases' real rows over their imaginary ones times V^T
     V = spec.eigenvectors
-    phases = np.exp(np.outer(spec.eigenvalues, times) * (-1j))
-    np.testing.assert_array_equal(series, (V @ (phases * (V.conj().T @ amps)[:, None])).T)
+    re, im = (V.T @ np.stack([amps.real, amps.imag], axis=1)).T
+    phases = np.exp(np.outer(times, spec.eigenvalues) * (-1j)) * (re + 1j * im)
+    product = np.concatenate([phases.real, phases.imag]) @ V.T
+    np.testing.assert_array_equal(series, product[:7] + 1j * product[7:])
+
+
+def test_evolve_series_from_complex_amplitudes_matches_expm():
+    # both parts of the initial amplitudes propagate: dropping the imaginary
+    # half, or its sign, fails here
+    rng = np.random.default_rng(61)
+    sector = enumerate_sector(8, 3)
+    params = ChainParams(n_sites=8, J=1.0, W=2.5, g=0.8, boundary="periodic")
+    H = build_hamiltonian(params, sample_disorder(8, 12), sector)
+    amps0 = random_pure_state(rng, sector.dim)
+    times = np.array([0.3, 2.0, 17.0])
+    expected = np.stack([scipy.linalg.expm(-1j * H * t) @ amps0 for t in times])
+    series = evolve_series(decompose(H), amps0, times)
+    np.testing.assert_allclose(series, expected, rtol=0, atol=1e-12)
+
+
+def test_evolve_series_rejects_complex_eigenvectors():
+    spec = decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    complex_spec = SpectralDecomposition(spec.eigenvalues, spec.eigenvectors.astype(complex))
+    with pytest.raises(ValueError, match="real"):
+        evolve_series(complex_spec, np.array([1.0, 0.0]), [1.0])
 
 
 def test_multisector_against_dense_propagator():

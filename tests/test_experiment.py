@@ -259,24 +259,39 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
         _small_config(n_sites=40, initial_state="w_state", mode="local", window=2)
     with pytest.raises(ValueError, match="physical memory"):
         _small_config(n_sites=10**12, initial_state="w_state")  # settled without comb(N, k)
+    # the amplitudes, the dense state and one transposed copy:
+    # 16 * 13 * (25 + 2 * 2**25) bytes (14.0 GB)
+    with pytest.raises(ValueError, match="physical memory"):
+        _small_config(n_sites=25, initial_state="w_state", mode="local", window=2)
     _small_config(n_sites=14)
     _small_config(n_sites=14, mode="local", window=2, grid=TimeGrid())
     _small_config(n_sites=30, initial_state="w_state")  # one-particle sector, D = 30
-    # 61 times: 16 * 61 * 4**12 bytes (16.4 GB) of N=12 window-12 matrices,
-    # 8 * comb(18, 9)**2 (18.9 GB) for a dense N=18 Hamiltonian, and
-    # 16 * 61 * comb(18, 9) (47 MB) of N=18 Slater amplitudes
+    # 61 times: 3 * 16 * 61 * 4**w bytes for an N=12 window and its real Gram
+    # (12.3 GB at w=11), 5.2 * 8 * comb(18, 9)**2 (98 GB) for a dense N=18
+    # Hamiltonian, and 4 * 16 * 61 * comb(18, 9) (190 MB) of N=18 Slater
+    # amplitudes
     with pytest.raises(ValueError, match="physical memory"):
-        make_default_config(mode="local", window=12)
-    make_default_config(mode="local", window=11)  # 4.1 GB
+        make_default_config(mode="local", window=11)
+    make_default_config(mode="local", window=10)  # 3.1 GB
     make_default_config(n_sites=18, g=0.0)
     make_default_config(n_sites=18, g=0.0, initial_state="max_incoherent", mode="local", window=2)
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(n_sites=18, g=1.0)
+    # eigh's peak, 5.2 * 8 * D**2: 24.6 GB for max_coherent's largest N=17
+    # sector (D = 24310), 6.9 GB for N=16 Néel (D = 12870)
+    with pytest.raises(ValueError, match="physical memory"):
+        make_default_config(n_sites=17, initial_state="max_coherent")
+    make_default_config(n_sites=16)
+    # four arrays of 16 * n_times * comb(18, 9) bytes on the Slater path:
+    # 12.4 GB at 4000 times, 6.2 GB at 2000
+    with pytest.raises(ValueError, match="physical memory"):
+        make_default_config(n_sites=18, g=0.0, grid=TimeGrid(n_points=4000))
+    make_default_config(n_sites=18, g=0.0, grid=TimeGrid(n_points=2000))
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(n_sites=18, g=0.0, initial_state="max_coherent")
     # the time axis: two arrays of 16 * n_times * D bytes of amplitudes on
-    # every path, D summed over the occupied sectors (2**12 for max_coherent
-    # at N=12)
+    # the dense path, D summed over the occupied sectors (2**12 for
+    # max_coherent at N=12)
     with pytest.raises(ValueError, match="n_times=1000000 .* physical memory"):
         make_default_config(grid=TimeGrid(n_points=10**6))  # 29.6 GB at D=924
     with pytest.raises(ValueError, match="physical memory"):
@@ -287,6 +302,10 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=100_000))  # 13.1 GB
     make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=50_000))  # 6.6 GB
+    # in local mode its 2**12 amplitudes sit beside the dense state and its copy
+    with pytest.raises(ValueError, match="physical memory"):
+        make_default_config(initial_state="max_coherent", mode="local", window=2,
+                            grid=TimeGrid(n_points=50_000))  # 9.8 GB
 
 
 @pytest.mark.parametrize("n_sites", range(4, 9))

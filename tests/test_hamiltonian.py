@@ -45,15 +45,17 @@ def test_two_site_full_filling():
 @pytest.mark.parametrize("g", [0.0, 1.0])
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_matches_term_by_term_oracle(g, boundary):
-    n, k = 4, 2
-    params = ChainParams(n_sites=n, J=1.0, W=2.0, g=g, boundary=boundary)
-    eps = sample_disorder(n, 123)
-    sector = enumerate_sector(n, k)
-    H = build_hamiltonian(params, eps, sector)
+    # repeated builds on one sector share its cached hop tables; N=2 periodic
+    # has its bond twice, so each hop entry is written twice
+    for n, k, J, W, seed in ((4, 2, 1.0, 2.0, 123), (4, 2, 0.7, 2.3, 5), (2, 1, 0.7, 2.3, 5)):
+        params = ChainParams(n_sites=n, J=J, W=W, g=g, boundary=boundary)
+        eps = sample_disorder(n, seed)
+        sector = enumerate_sector(n, k)
+        H = build_hamiltonian(params, eps, sector)
 
-    full = dense_hamiltonian(n, params.J, params.W, params.g, eps, boundary)
-    block = full[np.ix_(sector.states, sector.states)]
-    np.testing.assert_allclose(H, block, atol=1e-13)
+        full = dense_hamiltonian(n, params.J, params.W, params.g, eps, boundary)
+        block = full[np.ix_(sector.states, sector.states)]
+        np.testing.assert_allclose(H, block, atol=1e-13)
 
 
 def test_oracle_never_couples_sectors():

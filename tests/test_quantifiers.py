@@ -144,18 +144,21 @@ def test_partial_trace_bell_pair():
 
 
 def test_partial_trace_matches_dense_oracle():
+    # time-major states, one sector and many, every window at every time
     rng = np.random.default_rng(37)
-    sector = enumerate_sector(6, 3)
-    single = BlockState(n_sites=6, blocks=((sector, random_pure_state(rng, sector.dim)),))
-    multi = BlockState.from_dense(random_pure_state(rng, 64), 6)
-    for psi in (single, multi):
-        for width in range(1, 7):
-            for first in range(1, 8 - width):
+    for n, n_particles in ((6, 3), (6, None), (8, 4), (8, None)):
+        psi = _random_state_over_time(rng, n, 3, n_particles)
+        dense = psi.to_dense()
+        for width in range(1, n + 1):
+            for first in range(1, n + 2 - width):
                 window = list(range(first, first + width))
                 rho = partial_trace(psi, window)
-                ref = dense_partial_trace(psi.to_dense(), 6, window)
-                np.testing.assert_allclose(rho, ref, atol=1e-12)
-                assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+                assert rho.shape == (3, 1 << width, 1 << width)
+                assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+                for j in range(3):
+                    ref = dense_partial_trace(dense[j], n, window)
+                    np.testing.assert_allclose(rho[j], ref, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(np.trace(rho, axis1=1, axis2=2), 1.0, atol=1e-12)
 
 
 def test_partial_trace_rejects_bad_windows():

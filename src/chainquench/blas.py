@@ -1,13 +1,16 @@
 """The OpenBLAS that numpy loaded, reached through ctypes.
 
-Each realization worker calls LAPACK's `eigh`, and OpenBLAS starts its own
-threads inside every call, so a worker pool on top of them oversubscribes
-the cores. `one_blas_thread` pins OpenBLAS to one thread while a pool runs.
-Outside a pool, `blas_threads_for` runs the `eigh` and propagation products
-of a matrix below `ONE_THREAD_BELOW` rows on one thread, where a second
-thread saves little time and spins for the rest. The thread count changes
-the bits `eigh` returns for large enough matrices, so a run records the
-count its sectors at or above that dimension computed under.
+Each realization worker diagonalizes its sectors with the library's LAPACKE
+`dsyevd` (`OpenBLAS.syevd`), in place on the caller's buffer; ctypes
+releases the GIL for the call, so workers diagonalize in parallel. OpenBLAS
+starts its own threads inside every call, so a worker pool on top of them
+oversubscribes the cores. `one_blas_thread` pins OpenBLAS to one thread
+while a pool runs. Outside a pool, `blas_threads_for` runs the `dsyevd` and
+propagation products of a matrix below `ONE_THREAD_BELOW` rows on one
+thread, where a second thread saves little time and spins for the rest. The
+thread count changes the bits `dsyevd` returns for large enough matrices,
+so a run records the count its sectors at or above that dimension computed
+under.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-# symbol prefix and suffix, in the order they are tried
+# symbol prefix and suffix, in the order they are tried; the library's
+# LAPACKE symbols take the prefix without "openblas" and the same suffix
 _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
 # Matrices of smaller dimension run on one OpenBLAS thread. On a 2-core Xeon
 # (OpenBLAS 0.3.31, default 2 threads) a second thread cut eigh's wall time
@@ -37,11 +42,15 @@ class OpenBLAS:
     config: str
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
+    # (a, w) -> LAPACK's info: writes the ascending eigenvalues of the
+    # symmetric C-contiguous float64 matrix `a` into `w` and its eigenvectors
+    # over `a`, one per row
+    syevd: Callable[[np.ndarray, np.ndarray], int]
 
 
 @functools.cache
 def openblas() -> OpenBLAS | None:
-    """The OpenBLAS bundled with numpy, or None when none is found."""
+    """The OpenBLAS bundled with numpy, or None when none with LAPACKE is found."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libdir.glob("*openblas*.so*")):
         lib = ctypes.CDLL(str(path))
@@ -51,12 +60,22 @@ def openblas() -> OpenBLAS | None:
                     getattr(lib, f"{prefix}_{name}{suffix}")
                     for name in ("get_num_threads", "set_num_threads", "get_config")
                 ]
+                dsyevd = getattr(lib, f"{prefix.removesuffix('openblas')}LAPACKE_dsyevd{suffix}")
             except AttributeError:
                 continue
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-            return OpenBLAS(path.name, get_config().decode(), get_threads, set_threads)
+            config = get_config().decode()
+            # lapack_int is 64 bits wide in an ILP64 build
+            index = ctypes.c_int64 if "USE64BITINT" in config else ctypes.c_int
+            dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, index,
+                               ctypes.c_void_p, index, ctypes.c_void_p]
+            dsyevd.restype = index
+            # a C buffer read column-major is the transpose, so a symmetric
+            # matrix's own, and the column eigenvectors written there are rows
+            return OpenBLAS(path.name, config, get_threads, set_threads, lambda a, w: dsyevd(
+                _COL_MAJOR, b"V", b"L", len(a), a.ctypes.data, max(len(a), 1), w.ctypes.data))
     return None
 
 

@@ -24,6 +24,7 @@ from .detect import DEFAULT_ABS_TOL, DEFAULT_SIG, FitWindow, fit_log, last_decad
 from .evolve import TimeGrid
 from .experiment import (
     ExperimentConfig,
+    MemoryLimitError,
     TrajectoryRecord,
     run_experiment,
     run_sweep,
@@ -322,7 +323,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryLimitError) as exc:
+        # run_experiment and run_sweep size every realization's memory before
+        # the first one starts
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, FloatingPointError, OverflowError) as exc:

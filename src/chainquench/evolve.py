@@ -9,9 +9,11 @@ minors of the one-particle propagator. Both return time-major
 (n_times, dim) amplitudes over a `TimeGrid`'s times. The sector
 Hamiltonians are real symmetric, so their eigenvectors V are real, and
 `evolve_series` propagates the real and imaginary parts of a state with real
-products of V: no complex copy of V is made. `decompose` and `evolve_series`
-run their BLAS calls on one OpenBLAS thread for a sector below
-`blas.ONE_THREAD_BELOW` states.
+products of V: no complex copy of V is made. `decompose` overwrites its
+argument: LAPACK writes the eigenvectors over H, so the dense path of a
+sector holds H and LAPACK's workspace, three D x D arrays, and never a copy
+of either. `decompose` and `evolve_series` run their BLAS calls on one
+OpenBLAS thread for a sector below `blas.ONE_THREAD_BELOW` states.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .blas import blas_threads_for
+from . import blas
 from .hilbert import Sector, enumerate_sector
 
 
@@ -65,16 +67,34 @@ class TimeGrid:
 
 
 def decompose(H: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a dense real symmetric sector Hamiltonian."""
-    try:
-        with blas_threads_for(len(H)):
-            eigenvalues, eigenvectors = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
+    """Full eigendecomposition of a dense real symmetric sector Hamiltonian, in place.
+
+    The eigenvectors overwrite H: LAPACK's `dsyevd` runs on H's own buffer,
+    and `eigenvectors` is `H.T`, a view of it, so the call holds H and
+    LAPACK's 2 D^2 workspace and copies nothing. H then holds the
+    eigenvectors as rows; pass `H.copy()` to keep H. An H that is not a
+    writeable C-contiguous float64 array is copied first and left as it was,
+    and so is every H when no OpenBLAS is found and numpy's `eigh` runs.
+    """
+    if np.iscomplexobj(H):
+        raise ValueError("decompose needs a real symmetric matrix")
+    shape = np.shape(H)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"decompose needs a square matrix, got shape {shape}")
+    lib = blas.openblas()
+    dim = shape[0]
+    with blas.blas_threads_for(dim):
+        if lib is None:
+            return SpectralDecomposition(*np.linalg.eigh(H))
+        H = np.require(H, np.float64, ["C", "W"])
+        eigenvalues = np.empty(dim)
+        info = lib.syevd(H, eigenvalues)
+    if info:  # H holds whatever LAPACK left in it, so the message reads none of it
         raise np.linalg.LinAlgError(
-            f"eigendecomposition failed for dim={len(H)} matrix "
-            f"(max |entry| = {np.max(np.abs(H)):.3e}): {exc}"
-        ) from exc
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+            f"eigendecomposition failed for dim={dim} matrix: dsyevd info={info}"
+            + (" (LAPACKE's code for a NaN entry)" if info == -5 else "")
+        )
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=H.T)
 
 
 def evolve_series(
@@ -92,13 +112,15 @@ def evolve_series(
         raise ValueError("evolve_series needs real eigenvectors, of a real symmetric matrix")
     amplitudes = np.asarray(amplitudes)
     n_times = len(times)
-    with blas_threads_for(spec.dim):
-        re, im = (V.T @ np.stack([amplitudes.real, amplitudes.imag], axis=1)).T
-        phases = np.exp(np.outer(times, spec.eigenvalues) * (-1j))
-        phases *= re + 1j * im
-        parts = np.concatenate([phases.real, phases.imag])  # (2 n_times, dim)
+    with blas.blas_threads_for(spec.dim):
+        # dim-major phases: on decompose's F-ordered V these operand layouts
+        # take the BLAS kernels that time-major ones take on a C-ordered V
+        re, im = np.stack([amplitudes.real, amplitudes.imag], axis=1).T @ V
+        phases = np.exp(np.outer(spec.eigenvalues, times) * (-1j))
+        phases *= (re + 1j * im)[:, None]
+        parts = np.concatenate([phases.real, phases.imag], axis=1)  # (dim, 2 n_times)
         del phases  # so at most two (n_times, dim) complex arrays live at once
-        product = parts @ V.T
+        product = parts.T @ V.T
     del parts
     series = np.empty((n_times, spec.dim), dtype=complex)
     series.real, series.imag = product[:n_times], product[n_times:]

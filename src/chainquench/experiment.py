@@ -10,7 +10,7 @@ Hamiltonian of each sector the state occupies. Realizations are
 independent and may run on worker threads; aggregation always folds them
 in realization-index order. A worker pool pins OpenBLAS to one thread, so
 runs with two or more workers are bit-identical to each other. A serial run
-keeps the library's default BLAS threads only for the `eigh` and
+keeps the library's default BLAS threads only for the eigendecomposition and
 propagation of sectors of `blas.ONE_THREAD_BELOW` (462) states or more, and
 runs smaller sectors on one thread. So a serial run whose sectors all lie
 below that dimension is bit-identical to a pooled run; otherwise its
@@ -56,6 +56,10 @@ def _slater(config: ExperimentConfig) -> bool:
     return config.chain.g == 0 and config.initial_state in _BASIS_STATES
 
 
+class MemoryLimitError(ValueError):
+    """The realizations that would run at once do not fit in physical memory."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     chain: ChainParams
@@ -89,14 +93,25 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.initial_state} requires an even chain, got N={self.chain.n_sites}"
             )
-        # peak memory of the largest step, sized before any array exists:
+        self.check_memory()
+        if self.chain.n_sites > 63:
+            raise ValueError(
+                "basis states are 63-bit patterns, so a chain has at most 63 sites, "
+                f"got N={self.chain.n_sites}"
+            )
+        self.grid.times  # builds the grid, which must be strictly increasing
+
+    def check_memory(self, workers: int = 1) -> None:
+        """Raise MemoryLimitError unless the realizations `workers` run at once fit."""
+        # peak memory of one realization's largest step, sized before any
+        # array exists, times the realizations that run at once:
         # - two (n_times, D) amplitude arrays on the dense path, over the D
         #   states of every occupied sector (2^N for max_coherent), and four
         #   on the Slater path, whose Laplace steps sum products of gathered
         #   minors (tracemalloc, N=12 and 14 Néel, 200 times: 4.0 of them);
-        # - 5.2 dense Hamiltonians of the largest sector unless the run is a
-        #   Slater one: H, numpy's Fortran copy of it, eigh's 2 D^2 workspace
-        #   and the eigenvectors (ru_maxrss of a child, N=14 Néel, D=3432);
+        # - 3.2 dense Hamiltonians of the largest sector unless the run is a
+        #   Slater one: H, overwritten by its eigenvectors, and LAPACK's 2 D^2
+        #   workspace (ru_maxrss of a child, N=14 Néel, D=3432: 3.13);
         # - in local mode, the amplitudes, the (n_times, 2^N) dense state and
         #   one transposed copy of it (tracemalloc, N=10 max_coherent: 3.07
         #   dense states), or one window's (n_times, 2^w, 2^w) matrices and
@@ -105,6 +120,7 @@ class ExperimentConfig:
         # any N whose comb(N, k) or 2^N would itself take long to compute
         n = self.chain.n_sites
         n_times = self.grid.n_points
+        concurrent = min(workers, self.realizations)
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         largest = 8 * n**2
         if largest <= memory:
@@ -113,19 +129,14 @@ class ExperimentConfig:
             if _slater(self):
                 largest = max(largest, 4 * 16 * n_times * total)
             else:
-                largest = max(largest, 2 * 16 * n_times * total, 5.2 * 8 * d**2)
+                largest = max(largest, 2 * 16 * n_times * total, 3.2 * 8 * d**2)
             if self.mode == "local":
                 largest = max(largest, 16 * n_times * max(total + 2 * 2**n, 3 * 4**self.window))
-        if largest > memory:
-            raise ValueError(
-                f"N={n} with n_times={n_times} needs more than the "
-                f"{memory / 2**30:.3g} GiB of physical memory"
+        if largest * concurrent > memory:
+            raise MemoryLimitError(
+                f"N={n} with n_times={n_times} and {concurrent} realization(s) at once "
+                f"needs more than the {memory / 2**30:.3g} GiB of physical memory"
             )
-        if n > 63:
-            raise ValueError(
-                f"basis states are 63-bit patterns, so a chain has at most 63 sites, got N={n}"
-            )
-        self.grid.times  # builds the grid, which must be strictly increasing
 
     def warnings(self) -> tuple[str, ...]:
         if self.initial_state == "max_coherent":
@@ -170,10 +181,13 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
         spec1 = decompose(build_hamiltonian(config.chain, eps, one_particle))
         blocks = [(sector, amps[m] * slater_series(spec1, sector, sector.states[m], times))]
     else:
-        blocks = []
-        for sector, amps in psi0.blocks:
-            spec = decompose(build_hamiltonian(config.chain, eps, sector))
-            blocks.append((sector, evolve_series(spec, amps, times)))
+        # no name holds a decomposition, so each is freed once its sector is
+        # propagated, the last one before the quantifiers run
+        blocks = [
+            (sector, evolve_series(decompose(build_hamiltonian(config.chain, eps, sector)),
+                                   amps, times))
+            for sector, amps in psi0.blocks
+        ]
     psi_t = BlockState(n_sites=psi0.n_sites, blocks=tuple(blocks))
 
     if config.mode == "global":
@@ -193,6 +207,7 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRe
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    config.check_memory(n_workers)
     indices = range(config.realizations)
     if n_workers > 1:
         with one_blas_thread() as threads, ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -240,13 +255,14 @@ def run_sweep(
     """
     if len(W_values) == 0 or len(g_values) == 0:
         raise ValueError("sweep value lists must be nonempty")
-    records = []
-    for W in W_values:
-        for g in g_values:
-            chain = replace(base.chain, W=float(W), g=float(g))
-            config = replace(base, chain=chain)
-            records.append(run_experiment(config, n_workers=n_workers))
-    return records
+    configs = [
+        replace(base, chain=replace(base.chain, W=float(W), g=float(g)))
+        for W in W_values
+        for g in g_values
+    ]
+    for config in configs:  # every cell fits before any computes
+        config.check_memory(n_workers)
+    return [run_experiment(config, n_workers=n_workers) for config in configs]
 
 
 def make_default_config(

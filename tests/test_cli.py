@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chainquench import experiment
 from chainquench.blas import blas_threads, openblas
 from chainquench.cli import (
     _FIELDS,
@@ -205,6 +206,25 @@ def test_run_sizes_window_matrices_and_slater_amplitudes(tmp_path, host_with_8_g
     cfg = _write_config(tmp_path, n_sites=18, g=0.0, realizations=1, time_grid=grid)
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert (out / "trajectory.csv").exists()
+
+
+def test_run_and_sweep_size_memory_for_their_workers(tmp_path, host_with_8_gib, monkeypatch, capsys):
+    def no_realization(config, index):
+        raise AssertionError("a realization started")
+
+    monkeypatch.setattr(experiment, "_single_trajectory", no_realization)
+    out = tmp_path / "out"
+    # N=16 Néel at g=1 needs 4.2 GB per realization: one or two workers fit
+    # in 8 GiB and three do not, in a run or in a sweep's g=1 cell
+    cfg = _write_config(tmp_path, n_sites=16, realizations=3, W_values=[2.0], g_values=[0.0, 1.0])
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(cfg), "--out-dir", str(out), "--threads", "3"]) == 2
+        assert "3 realization(s) at once" in capsys.readouterr().err
+    # with two realizations only two run at once, whatever --threads says
+    cfg = _write_config(tmp_path, n_sites=16, realizations=2)
+    with pytest.raises(AssertionError, match="a realization started"):
+        main(["run", "--config", str(cfg), "--out-dir", str(out), "--threads", "3"])
+    assert not out.exists()
 
 
 @st.composite

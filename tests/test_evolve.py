@@ -23,7 +23,7 @@ def test_decompose_pauli_x():
 
 def test_decompose_diagonal():
     diag = np.diag([3.0, -1.0, 2.0, 0.0, 5.0, -4.0])
-    spec = decompose(diag)
+    spec = decompose(diag.copy())
     np.testing.assert_allclose(spec.eigenvalues, np.sort(np.diagonal(diag)), atol=1e-14)
     # eigenvectors of a diagonal matrix are one-hot up to order and sign
     assert np.all(np.isclose(np.abs(spec.eigenvectors), 0.0) | np.isclose(np.abs(spec.eigenvectors), 1.0))
@@ -33,7 +33,7 @@ def test_decompose_reconstructs():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 6))
     m = m + m.T
-    spec = decompose(m)
+    spec = decompose(m.copy())
     V = spec.eigenvectors
     np.testing.assert_allclose(V @ np.diag(spec.eigenvalues) @ V.conj().T, m, atol=1e-10)
     np.testing.assert_allclose(V.conj().T @ V, np.eye(6), atol=1e-10)
@@ -64,7 +64,7 @@ def test_energy_and_norm_conserved():
     sector = enumerate_sector(8, 4)
     params = ChainParams(n_sites=8, J=1.0, W=5.0, g=1.0)
     H = build_hamiltonian(params, sample_disorder(8, 77), sector)
-    spec = decompose(H)
+    spec = decompose(H.copy())
     amps0 = random_pure_state(rng, sector.dim)
     e0 = np.real(amps0.conj() @ H @ amps0)
     scale = np.linalg.norm(H, 2)
@@ -93,12 +93,13 @@ def test_evolve_series_is_time_major():
     times = TimeGrid(0.1, 100.0, 7).times
     series = evolve_series(spec, amps, times)
     assert series.shape == (7, 6) and series.flags.c_contiguous
-    # in real arithmetic: the coefficients' parts from one product with V^T,
-    # then the phases' real rows over their imaginary ones times V^T
+    # in real arithmetic: the coefficients' parts from one product with V,
+    # then the dim-major phases' real columns beside their imaginary ones,
+    # transposed, times V^T
     V = spec.eigenvectors
-    re, im = (V.T @ np.stack([amps.real, amps.imag], axis=1)).T
-    phases = np.exp(np.outer(times, spec.eigenvalues) * (-1j)) * (re + 1j * im)
-    product = np.concatenate([phases.real, phases.imag]) @ V.T
+    re, im = np.stack([amps.real, amps.imag], axis=1).T @ V
+    phases = np.exp(np.outer(spec.eigenvalues, times) * (-1j)) * (re + 1j * im)[:, None]
+    product = np.concatenate([phases.real, phases.imag], axis=1).T @ V.T
     np.testing.assert_array_equal(series, product[:7] + 1j * product[7:])
 
 

@@ -267,7 +267,7 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     _small_config(n_sites=14, mode="local", window=2, grid=TimeGrid())
     _small_config(n_sites=30, initial_state="w_state")  # one-particle sector, D = 30
     # 61 times: 3 * 16 * 61 * 4**w bytes for an N=12 window and its real Gram
-    # (12.3 GB at w=11), 5.2 * 8 * comb(18, 9)**2 (98 GB) for a dense N=18
+    # (12.3 GB at w=11), 3.2 * 8 * comb(18, 9)**2 (60.5 GB) for a dense N=18
     # Hamiltonian, and 4 * 16 * 61 * comb(18, 9) (190 MB) of N=18 Slater
     # amplitudes
     with pytest.raises(ValueError, match="physical memory"):
@@ -277,8 +277,8 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     make_default_config(n_sites=18, g=0.0, initial_state="max_incoherent", mode="local", window=2)
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(n_sites=18, g=1.0)
-    # eigh's peak, 5.2 * 8 * D**2: 24.6 GB for max_coherent's largest N=17
-    # sector (D = 24310), 6.9 GB for N=16 Néel (D = 12870)
+    # the in-place eigh's peak, 3.2 * 8 * D**2: 15.1 GB for max_coherent's
+    # largest N=17 sector (D = 24310), 4.2 GB for N=16 Néel (D = 12870)
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(n_sites=17, initial_state="max_coherent")
     make_default_config(n_sites=16)
@@ -306,6 +306,27 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(initial_state="max_coherent", mode="local", window=2,
                             grid=TimeGrid(n_points=50_000))  # 9.8 GB
+
+
+def test_memory_guard_counts_concurrent_realizations(host_with_8_gib, monkeypatch):
+    def no_realization(config, index):
+        raise AssertionError("a realization started")
+
+    monkeypatch.setattr(experiment, "_single_trajectory", no_realization)
+    # each worker runs its own realization: N=16 Néel needs 4.2 GB apiece
+    config = make_default_config(n_sites=16)
+    config.check_memory(1)
+    config.check_memory(2)  # 8.5 GB
+    with pytest.raises(experiment.MemoryLimitError, match="3 realization\\(s\\) at once .* physical memory"):
+        config.check_memory(3)
+    with pytest.raises(experiment.MemoryLimitError):
+        run_experiment(config, n_workers=3)  # before any realization starts
+    # never more at once than there are realizations
+    replace(config, realizations=2).check_memory(4)
+    # a sweep checks every cell first: its g=0 cell is a Slater run, the g=1 one is not
+    with pytest.raises(experiment.MemoryLimitError):
+        run_sweep(replace(config, chain=replace(config.chain, g=0.0)), [2.0], [0.0, 1.0],
+                  n_workers=3)
 
 
 @pytest.mark.parametrize("n_sites", range(4, 9))

@@ -11,7 +11,7 @@ or logarithmically drifting.
 __version__ = "0.1.0"
 
 from .detect import FitResult, FitWindow, fit_log, last_decade
-from .evolve import SpectralDecomposition, TimeGrid, decompose, evolve_series
+from .evolve import SpectralDecomposition, TimeGrid, decompose, evolve_series, propagate
 from .experiment import (
     ExperimentConfig,
     TrajectoryRecord,
@@ -62,6 +62,7 @@ __all__ = [
     "neel",
     "partial_trace",
     "predictability_l1",
+    "propagate",
     "run_experiment",
     "run_sweep",
     "sample_disorder",

@@ -1,23 +1,26 @@
 """The OpenBLAS that numpy loaded, reached through ctypes.
 
 Each realization worker diagonalizes its sectors with the library's LAPACKE
-`dsyevd` (`OpenBLAS.syevd`), in place on the caller's buffer; ctypes
-releases the GIL for the call, so workers diagonalize in parallel. OpenBLAS
-starts its own threads inside every call, so a worker pool on top of them
-oversubscribes the cores. `one_blas_thread` pins OpenBLAS to one thread
-while a pool runs. Outside a pool, `blas_threads_for` runs the `dsyevd` and
-propagation products of a matrix below `ONE_THREAD_BELOW` rows on one
-thread, where a second thread saves little time and spins for the rest. The
-thread count changes the bits `dsyevd` returns for large enough matrices,
-so a run records the count its sectors at or above that dimension computed
-under.
+routines, in place on the caller's buffer: `dsyevd` (`OpenBLAS.syevd`)
+below `ONE_THREAD_BELOW` states, and at or above it the tridiagonal
+reduction `dsytrd`, the divide-and-conquer `dstedc` and the back-transform
+`dormtr`, which `evolve.propagate` applies to the propagated columns only.
+ctypes releases the GIL for each call, so workers diagonalize in parallel.
+OpenBLAS starts its own threads inside every call, so a worker pool on top
+of them oversubscribes the cores. `one_blas_thread` pins OpenBLAS to one
+thread while a pool runs. Outside a pool, `blas_threads_for` runs the
+eigendecomposition and propagation products of a matrix below
+`ONE_THREAD_BELOW` rows on one thread, where a second thread saves little
+time and spins for the rest, and `serial_blas` does the same for thin
+`dormtr` calls at any dimension. The thread count changes the bits LAPACK
+returns for large enough matrices, so a run records the count its sectors
+at or above that dimension computed under.
 """
-
 from __future__ import annotations
 
 import ctypes
 import functools
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -32,7 +35,15 @@ _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 # Matrices of smaller dimension run on one OpenBLAS thread. On a 2-core Xeon
 # (OpenBLAS 0.3.31, default 2 threads) a second thread cut eigh's wall time
 # by at most a sixth below it (D=330: 9.2 vs 7.7 ms), for twice the CPU
-# time, by 9-22% at it and by 20-44% from D=495 up (D=924: 119 vs 71 ms)
+# time, by 9-22% at it and by 20-44% from D=495 up (D=924: 119 vs 71 ms).
+# It is also where `evolve.propagate` leaves dsyevd for the tridiagonal
+# path. Its eigendecomposition and propagation of one basis state over 61
+# times, median ms, dsyevd path -> tridiagonal path, alternating order:
+#   D          210        252        330         462         495         792        924
+#   1 thread  5.7->6.2   8.6->9.1  15.3->13.9  31.1->29.7  38.1->36.0  122->105   180->153
+#   2 threads 6.8->7.0   8.8->8.7  13.1->13.7  25.0->25.4  27.7->29.0   77->76    112->108
+# On one thread it wins from D=330, but no workload has a sector there, and
+# a crossover at this dimension keeps every smaller sector's bits.
 ONE_THREAD_BELOW = 462
 
 
@@ -42,10 +53,27 @@ class OpenBLAS:
     config: str
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
-    # (a, w) -> LAPACK's info: writes the ascending eigenvalues of the
-    # symmetric C-contiguous float64 matrix `a` into `w` and its eigenvectors
-    # over `a`, one per row
+    # Each LAPACKE routine returns LAPACK's info and takes C-contiguous
+    # float64 arrays. A C buffer read column-major is the transpose, so a
+    # symmetric matrix's own, and the columns LAPACK writes there are rows.
+    # (a, w): the ascending eigenvalues of the symmetric D x D `a` into `w`
+    # and its eigenvectors over `a`, one per row
     syevd: Callable[[np.ndarray, np.ndarray], int]
+    # (a, d, e, tau): reduces the symmetric `a` to the tridiagonal
+    # T = Q^T a Q, its diagonal into `d` and its off-diagonal into `e`, and
+    # writes Q's Householder reflectors over `a`, their scales into `tau`
+    sytrd: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]
+    # (d, e, z): the ascending eigenvalues of T over `d`, `e` destroyed, and
+    # its eigenvectors into the D x D `z`, one per row
+    stedc: Callable[[np.ndarray, np.ndarray, np.ndarray], int]
+    # (trans, a, tau, c): Q x (trans b"N") or Q^T x (b"T") over each row x of
+    # the (k, D) `c`, from the `a` and `tau` that sytrd wrote
+    ormtr: Callable[[bytes, np.ndarray, np.ndarray, np.ndarray], int]
+
+
+def _ld(a: np.ndarray) -> int:
+    """LAPACK's leading dimension of C-contiguous `a` read column-major: its row length."""
+    return max(a.shape[-1], 1)
 
 
 @functools.cache
@@ -60,7 +88,10 @@ def openblas() -> OpenBLAS | None:
                     getattr(lib, f"{prefix}_{name}{suffix}")
                     for name in ("get_num_threads", "set_num_threads", "get_config")
                 ]
-                dsyevd = getattr(lib, f"{prefix.removesuffix('openblas')}LAPACKE_dsyevd{suffix}")
+                dsyevd, dsytrd, dstedc, dormtr = [
+                    getattr(lib, f"{prefix.removesuffix('openblas')}LAPACKE_{name}{suffix}")
+                    for name in ("dsyevd", "dsytrd", "dstedc", "dormtr")
+                ]
             except AttributeError:
                 continue
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
@@ -69,13 +100,27 @@ def openblas() -> OpenBLAS | None:
             config = get_config().decode()
             # lapack_int is 64 bits wide in an ILP64 build
             index = ctypes.c_int64 if "USE64BITINT" in config else ctypes.c_int
-            dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, index,
-                               ctypes.c_void_p, index, ctypes.c_void_p]
-            dsyevd.restype = index
-            # a C buffer read column-major is the transpose, so a symmetric
-            # matrix's own, and the column eigenvectors written there are rows
-            return OpenBLAS(path.name, config, get_threads, set_threads, lambda a, w: dsyevd(
-                _COL_MAJOR, b"V", b"L", len(a), a.ctypes.data, max(len(a), 1), w.ctypes.data))
+            char, ptr = ctypes.c_char, ctypes.c_void_p
+            for routine, args in (
+                (dsyevd, [char, char, index, ptr, index, ptr]),
+                (dsytrd, [char, index, ptr, index, ptr, ptr, ptr]),
+                (dstedc, [char, index, ptr, ptr, ptr, index]),
+                (dormtr, [char, char, char, index, index, ptr, index, ptr, ptr, index]),
+            ):
+                routine.argtypes, routine.restype = [ctypes.c_int, *args], index
+            return OpenBLAS(
+                path.name, config, get_threads, set_threads,
+                syevd=lambda a, w: dsyevd(
+                    _COL_MAJOR, b"V", b"L", len(a), a.ctypes.data, _ld(a), w.ctypes.data),
+                sytrd=lambda a, d, e, tau: dsytrd(
+                    _COL_MAJOR, b"L", len(a), a.ctypes.data, _ld(a),
+                    d.ctypes.data, e.ctypes.data, tau.ctypes.data),
+                stedc=lambda d, e, z: dstedc(
+                    _COL_MAJOR, b"I", len(d), d.ctypes.data, e.ctypes.data, z.ctypes.data, _ld(z)),
+                ormtr=lambda trans, a, tau, c: dormtr(
+                    _COL_MAJOR, b"L", b"L", trans, len(a), len(c), a.ctypes.data, _ld(a),
+                    tau.ctypes.data, c.ctypes.data, _ld(c)),
+            )
     return None
 
 
@@ -106,16 +151,20 @@ def one_blas_thread() -> Iterator[int | None]:
 
 
 @contextmanager
-def blas_threads_for(dim: int) -> Iterator[None]:
-    """`one_blas_thread` for a matrix of dimension below `ONE_THREAD_BELOW`.
+def serial_blas() -> Iterator[None]:
+    """`one_blas_thread`, unless the count is already 1 or OpenBLAS is not found.
 
-    The count is only ever lowered. At or above that dimension, when the
-    count is already 1 (inside `one_blas_thread`), or when OpenBLAS is not
-    found, the block runs unchanged and no thread count is set, so pool
-    workers never touch the process-wide setting.
+    The count is only ever lowered: inside `one_blas_thread` (a pool's
+    workers) or without OpenBLAS the block runs unchanged and no thread count
+    is set, so pool workers never touch the process-wide setting.
     """
-    if dim < ONE_THREAD_BELOW and blas_threads() not in (None, 1):
+    if blas_threads() in (None, 1):
+        yield
+    else:
         with one_blas_thread():
             yield
-    else:
-        yield
+
+
+def blas_threads_for(dim: int) -> AbstractContextManager[None]:
+    """`serial_blas` for a matrix of dimension below `ONE_THREAD_BELOW`, else nothing."""
+    return serial_blas() if dim < ONE_THREAD_BELOW else nullcontext()

@@ -2,18 +2,23 @@
 
 One decomposition serves the whole time grid: the propagator at any t is
 V exp(-i lambda t) V^dagger, with no step-error accumulation at long times.
-`evolve_series` applies the full eigendecomposition of a many-body sector.
-`slater_series` needs only the N x N one-particle one: without interaction
-(g = 0) a basis state stays a Slater determinant, and its amplitudes are
-minors of the one-particle propagator. Both return time-major
-(n_times, dim) amplitudes over a `TimeGrid`'s times. The sector
-Hamiltonians are real symmetric, so their eigenvectors V are real, and
-`evolve_series` propagates the real and imaginary parts of a state with real
-products of V: no complex copy of V is made. `decompose` overwrites its
-argument: LAPACK writes the eigenvectors over H, so the dense path of a
-sector holds H and LAPACK's workspace, three D x D arrays, and never a copy
-of either. `decompose` and `evolve_series` run their BLAS calls on one
-OpenBLAS thread for a sector below `blas.ONE_THREAD_BELOW` states.
+`propagate` evolves a state under a many-body sector's dense Hamiltonian
+and picks its method by the sector's dimension: below
+`blas.ONE_THREAD_BELOW` states it is `evolve_series(decompose(H), ...)`,
+which applies the full eigendecomposition; at or above it, V is never
+formed, and the Householder reflectors of H's tridiagonal reduction go onto
+the 2 n_times propagated columns instead of onto a D x D eigenvector
+matrix. `slater_series` needs only the N x N one-particle decomposition:
+without interaction (g = 0) a basis state stays a Slater determinant, and
+its amplitudes are minors of the one-particle propagator. All return
+time-major (n_times, dim) amplitudes over a `TimeGrid`'s times. The sector
+Hamiltonians are real symmetric, so their eigenvectors are real, and the
+real and imaginary parts of a state propagate through real products: no
+complex copy of a D x D matrix is made. `decompose` and `propagate`
+overwrite H, with the eigenvectors or with the reflectors, so a sector
+holds three D x D arrays, H and LAPACK's workspace, and never a copy of H.
+The BLAS calls of a sector below `blas.ONE_THREAD_BELOW` states run on one
+OpenBLAS thread.
 """
 
 from __future__ import annotations
@@ -66,6 +71,30 @@ class TimeGrid:
         return times
 
 
+# the LAPACKE codes of a NaN in an array argument, which LAPACKE scans first
+_NAN_INFO = {"dsyevd": (-5,), "dsytrd": (-4,), "dstedc": (-4, -5), "dormtr": (-7, -9, -10)}
+
+
+def _check_info(info: int, routine: str, dim: int) -> None:
+    """Raise LinAlgError for a nonzero LAPACK info, naming no array: by then
+    each holds whatever LAPACK left in it."""
+    if info:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition failed for dim={dim} matrix: {routine} info={info}"
+            + (" (LAPACKE's code for a NaN entry)" if info in _NAN_INFO[routine] else "")
+        )
+
+
+def _square_dim(H: np.ndarray, caller: str) -> int:
+    """The dimension of a real square H; ValueError for any other."""
+    if np.iscomplexobj(H):
+        raise ValueError(f"{caller} needs a real symmetric matrix")
+    shape = np.shape(H)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{caller} needs a square matrix, got shape {shape}")
+    return shape[0]
+
+
 def decompose(H: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a dense real symmetric sector Hamiltonian, in place.
 
@@ -76,24 +105,15 @@ def decompose(H: np.ndarray) -> SpectralDecomposition:
     writeable C-contiguous float64 array is copied first and left as it was,
     and so is every H when no OpenBLAS is found and numpy's `eigh` runs.
     """
-    if np.iscomplexobj(H):
-        raise ValueError("decompose needs a real symmetric matrix")
-    shape = np.shape(H)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"decompose needs a square matrix, got shape {shape}")
+    dim = _square_dim(H, "decompose")
     lib = blas.openblas()
-    dim = shape[0]
     with blas.blas_threads_for(dim):
         if lib is None:
             return SpectralDecomposition(*np.linalg.eigh(H))
         H = np.require(H, np.float64, ["C", "W"])
         eigenvalues = np.empty(dim)
         info = lib.syevd(H, eigenvalues)
-    if info:  # H holds whatever LAPACK left in it, so the message reads none of it
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition failed for dim={dim} matrix: dsyevd info={info}"
-            + (" (LAPACKE's code for a NaN entry)" if info == -5 else "")
-        )
+    _check_info(info, "dsyevd", dim)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=H.T)
 
 
@@ -111,20 +131,68 @@ def evolve_series(
     if np.iscomplexobj(V):
         raise ValueError("evolve_series needs real eigenvectors, of a real symmetric matrix")
     amplitudes = np.asarray(amplitudes)
-    n_times = len(times)
     with blas.blas_threads_for(spec.dim):
         # dim-major phases: on decompose's F-ordered V these operand layouts
         # take the BLAS kernels that time-major ones take on a C-ordered V
         re, im = np.stack([amplitudes.real, amplitudes.imag], axis=1).T @ V
-        phases = np.exp(np.outer(spec.eigenvalues, times) * (-1j))
-        phases *= (re + 1j * im)[:, None]
-        parts = np.concatenate([phases.real, phases.imag], axis=1)  # (dim, 2 n_times)
-        del phases  # so at most two (n_times, dim) complex arrays live at once
-        product = parts.T @ V.T
-    del parts
-    series = np.empty((n_times, spec.dim), dtype=complex)
+        product = _phased(spec.eigenvalues, re + 1j * im, times).T @ V.T
+    return _complex_rows(product)
+
+
+def _phased(eigenvalues: np.ndarray, coefficients: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The eigenbasis state at every time, as real and imaginary parts: (dim, 2 n_times)."""
+    phases = np.exp(np.outer(eigenvalues, times) * (-1j))
+    phases *= coefficients[:, None]
+    # one complex (dim, n_times) array and its real copy live at once
+    return np.concatenate([phases.real, phases.imag], axis=1)
+
+
+def _complex_rows(product: np.ndarray) -> np.ndarray:
+    """The time-major complex amplitudes from real (2 n_times, dim) parts, real rows first."""
+    n_times = len(product) // 2
+    series = np.empty((n_times, product.shape[1]), dtype=complex)
     series.real, series.imag = product[:n_times], product[n_times:]
     return series
+
+
+def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """A sector's amplitudes at every grid time, time-major (n_times, dim); H is overwritten.
+
+    Below `blas.ONE_THREAD_BELOW` states, or when no OpenBLAS is found, this
+    is `evolve_series(decompose(H), amplitudes, times)`, bit for bit. At or
+    above it the eigenvectors V = Q Z are never formed: LAPACK reduces H in
+    place to the tridiagonal T = Q^T H Q (`dsytrd`) and diagonalizes
+    T = Z diag(lambda) Z^T (`dstedc`), and Q's Householder reflectors go
+    onto the 2 real columns of the state and the 2 n_times real columns of
+    psi(t) = Q Z exp(-i lambda t) Z^T Q^T psi0 (`dormtr`). That skips the
+    2 D^3 product Q Z; the call holds H (then Q's reflectors), Z and
+    `dstedc`'s D^2 workspace. `dsytrd`, `dstedc` and the products keep the
+    library's thread count, as every sector of that size does; `dormtr`
+    runs on one OpenBLAS thread, where a second one costs time on such thin
+    blocks. H is copied first unless it is a writeable C-contiguous float64
+    array.
+    """
+    dim = _square_dim(H, "propagate")
+    if len(amplitudes) != dim:
+        raise ValueError(f"state has dim {len(amplitudes)}, matrix {dim}")
+    lib = blas.openblas()
+    if lib is None or dim < blas.ONE_THREAD_BELOW:
+        return evolve_series(decompose(H), amplitudes, times)
+    H = np.require(H, np.float64, ["C", "W"])
+    amplitudes = np.asarray(amplitudes)
+    eigenvalues, e, tau = np.empty(dim), np.empty(dim - 1), np.empty(dim - 1)
+    _check_info(lib.sytrd(H, eigenvalues, e, tau), "dsytrd", dim)
+    Z = np.empty((dim, dim))  # T's eigenvectors, one per row
+    _check_info(lib.stedc(eigenvalues, e, Z), "dstedc", dim)
+    state = np.array([amplitudes.real, amplitudes.imag], dtype=np.float64)
+    with blas.serial_blas():
+        _check_info(lib.ormtr(b"T", H, tau, state), "dormtr", dim)
+    re, im = state @ Z.T  # the coefficients Z^T Q^T psi0
+    # the (dim, 2 n_times) block Z parts, column-major: C-ordered, it is its transpose
+    product = _phased(eigenvalues, re + 1j * im, times).T @ Z
+    with blas.serial_blas():
+        _check_info(lib.ormtr(b"N", H, tau, product), "dormtr", dim)
+    return _complex_rows(product)
 
 
 @lru_cache(maxsize=None)

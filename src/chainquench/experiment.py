@@ -5,16 +5,18 @@ Hamiltonian, evolve the chosen initial state over the time grid into
 time-major (n_times, dim) blocks, and evaluate the quantifier triple at
 every time. Without interaction (g = 0) a basis state (`neel`,
 `max_incoherent`) evolves as a Slater determinant, from the N x N
-one-particle Hamiltonian; every other run diagonalizes the dense
-Hamiltonian of each sector the state occupies. Realizations are
-independent and may run on worker threads; aggregation always folds them
-in realization-index order. A worker pool pins OpenBLAS to one thread, so
-runs with two or more workers are bit-identical to each other. A serial run
+one-particle Hamiltonian; every other run hands the dense Hamiltonian of
+each sector the state occupies to `evolve.propagate`, which diagonalizes it
+through its eigenvectors below `blas.ONE_THREAD_BELOW` (462) states and
+through its tridiagonal form at or above. Realizations are independent and
+may run on worker threads; aggregation always folds them in
+realization-index order. A worker pool pins OpenBLAS to one thread, so runs
+with two or more workers are bit-identical to each other. A serial run
 keeps the library's default BLAS threads only for the eigendecomposition and
-propagation of sectors of `blas.ONE_THREAD_BELOW` (462) states or more, and
-runs smaller sectors on one thread. So a serial run whose sectors all lie
-below that dimension is bit-identical to a pooled run; otherwise its
-results can differ from one in the last digits.
+propagation of sectors of 462 states or more, apart from their thin
+back-transforms, and runs smaller sectors on one thread. So a serial run
+whose sectors all lie below that dimension is bit-identical to a pooled
+run; otherwise its results can differ from one in the last digits.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blas import blas_threads, one_blas_thread
-from .evolve import TimeGrid, decompose, evolve_series, slater_series
+from .evolve import TimeGrid, decompose, propagate, slater_series
 from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from .hilbert import enumerate_sector
 from .quantifiers import global_quantifiers, local_quantifiers
@@ -110,8 +112,10 @@ class ExperimentConfig:
         #   on the Slater path, whose Laplace steps sum products of gathered
         #   minors (tracemalloc, N=12 and 14 Néel, 200 times: 4.0 of them);
         # - 3.2 dense Hamiltonians of the largest sector unless the run is a
-        #   Slater one: H, overwritten by its eigenvectors, and LAPACK's 2 D^2
-        #   workspace (ru_maxrss of a child, N=14 Néel, D=3432: 3.13);
+        #   Slater one: H, overwritten by its reflectors, plus T's
+        #   eigenvectors Z and dstedc's D^2 workspace (ru_maxrss of a child,
+        #   N=14 Néel, D=3432: 3.12; below 462 states dsyevd's eigenvectors
+        #   overwrite H, beside its 2 D^2 workspace);
         # - in local mode, the amplitudes, the (n_times, 2^N) dense state and
         #   one transposed copy of it (tracemalloc, N=10 max_coherent: 3.07
         #   dense states), or one window's (n_times, 2^w, 2^w) matrices and
@@ -181,11 +185,10 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
         spec1 = decompose(build_hamiltonian(config.chain, eps, one_particle))
         blocks = [(sector, amps[m] * slater_series(spec1, sector, sector.states[m], times))]
     else:
-        # no name holds a decomposition, so each is freed once its sector is
+        # no name holds a Hamiltonian, so each is freed once its sector is
         # propagated, the last one before the quantifiers run
         blocks = [
-            (sector, evolve_series(decompose(build_hamiltonian(config.chain, eps, sector)),
-                                   amps, times))
+            (sector, propagate(build_hamiltonian(config.chain, eps, sector), amps, times))
             for sector, amps in psi0.blocks
         ]
     psi_t = BlockState(n_sites=psi0.n_sites, blocks=tuple(blocks))

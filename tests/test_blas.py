@@ -8,7 +8,7 @@ import pytest
 
 from chainquench import blas
 from chainquench.blas import ONE_THREAD_BELOW, OpenBLAS, blas_threads, one_blas_thread, openblas
-from chainquench.evolve import TimeGrid, decompose, evolve_series
+from chainquench.evolve import TimeGrid, decompose, evolve_series, propagate
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
 
@@ -48,8 +48,11 @@ def _eigh_in_place(a, w):
 
 @pytest.fixture
 def counting(monkeypatch):
+    """A library whose thread count is `fake`'s, with the bundled LAPACK routines when found."""
     fake = _CountingOpenBLAS(threads=2)
-    lib = OpenBLAS("fake", "fake", lambda: fake.threads, fake.set, _eigh_in_place)
+    real = openblas()
+    lapack = {name: getattr(real, name, None) for name in ("sytrd", "stedc", "ormtr")}
+    lib = OpenBLAS("fake", "fake", lambda: fake.threads, fake.set, _eigh_in_place, **lapack)
     monkeypatch.setattr(blas, "openblas", lambda: lib)
     return fake
 
@@ -200,5 +203,173 @@ def test_decompose_peak_memory_is_h_and_the_workspace():
     # numpy's eigh adds a Fortran copy of H and a separate output, for 5.0
     src = Path(blas.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(src)],
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert float(out.stdout) < 4.0
+
+
+@pytest.fixture(params=[1, 2], ids=["1-thread", "2-threads"])
+def blas_count(request):
+    """The bundled OpenBLAS on 1 and on 2 threads, restored afterwards."""
+    lib = openblas()
+    previous = lib.get_num_threads()
+    lib.set_num_threads(request.param)
+    try:
+        yield request.param
+    finally:
+        lib.set_num_threads(previous)
+
+
+def _states(sector):
+    """A Neel-like basis state (every other site from 0) and a random complex state."""
+    neel_like = sum(1 << (2 * p) for p in range(sector.n_particles))
+    basis = np.zeros(sector.dim, dtype=complex)
+    basis[np.searchsorted(sector.states, neel_like)] = 1.0
+    rng = np.random.default_rng(7)
+    random = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
+    return {"neel": basis, "random": random / np.linalg.norm(random)}
+
+
+_TIMES = TimeGrid().times
+
+
+@needs_openblas
+@pytest.mark.parametrize("sector", [(11, 5), (12, 6)], ids=["D462", "D924"])  # at D*, and above
+@pytest.mark.parametrize("state", ["neel", "random"])
+def test_propagate_matches_the_eigenvector_path(blas_count, sector, state):
+    H = _hamiltonian(*sector)
+    amps = _states(enumerate_sector(*sector))[state]
+    expected = evolve_series(decompose(H.copy()), amps, _TIMES)
+    series = propagate(H, amps, _TIMES)
+    assert series.shape == (len(_TIMES), len(H))
+    np.testing.assert_allclose(series, expected, rtol=0, atol=1e-12)
+    assert blas_threads() == blas_count
+
+
+def test_propagate_below_the_crossover_is_the_eigenvector_path_bit_for_bit(monkeypatch):
+    H = _hamiltonian(10, 5)  # D = 252
+    for amps in _states(enumerate_sector(10, 5)).values():
+        expected = evolve_series(decompose(H.copy()), amps, _TIMES)
+        np.testing.assert_array_equal(propagate(H.copy(), amps, _TIMES), expected)
+    # so is every dimension without OpenBLAS, where numpy's eigh runs
+    monkeypatch.setattr(blas, "openblas", lambda: None)
+    H = _hamiltonian(11, 5)  # D = 462
+    amps = _states(enumerate_sector(11, 5))["random"]
+    expected = evolve_series(decompose(H), amps, _TIMES)
+    np.testing.assert_array_equal(propagate(H, amps, _TIMES), expected)
+
+
+def _recording(lib, fake, seen):
+    """lib with each LAPACK routine logging (its name, the fake's thread count) into seen."""
+    def record(name):
+        routine = getattr(lib, name)
+
+        def recorded(*args):
+            seen.append((name, fake.threads))
+            return routine(*args)
+
+        return recorded
+
+    return replace(lib, **{name: record(name) for name in ("sytrd", "stedc", "ormtr")})
+
+
+@needs_openblas
+def test_propagate_runs_dormtr_on_one_thread(counting, monkeypatch):
+    seen = []
+    monkeypatch.setattr(blas, "openblas", lambda lib=_recording(blas.openblas(), counting, seen): lib)
+    H, amps = _hamiltonian(11, 5), _states(enumerate_sector(11, 5))["neel"]
+    propagate(H.copy(), amps, _TIMES)
+    assert seen == [("sytrd", 2), ("stedc", 2), ("ormtr", 1), ("ormtr", 1)]
+    assert counting.sets == [1, 2, 1, 2]
+    # a pool's workers, already on one thread, never set the count
+    seen.clear()
+    with one_blas_thread():
+        counting.sets.clear()
+        propagate(H.copy(), amps, _TIMES)
+        assert counting.sets == []
+    assert seen == [("sytrd", 1), ("stedc", 1), ("ormtr", 1), ("ormtr", 1)]
+
+
+@needs_openblas
+@pytest.mark.parametrize("failing,calls", [("sytrd", 1), ("stedc", 1), ("ormtr", 1), ("ormtr", 2)])
+@pytest.mark.parametrize("info", [-5, 3])
+def test_propagate_raises_on_any_nonzero_info_and_restores_the_count(
+    two_blas_threads, monkeypatch, failing, calls, info
+):
+    # the routine fails on its `calls`-th call: dormtr runs first on the state,
+    # then on the propagated block
+    lib = openblas()
+    routine, count = getattr(lib, failing), []
+
+    def fails_at_call(*args):
+        count.append(1)
+        return info if len(count) == calls else routine(*args)
+
+    monkeypatch.setattr(blas, "openblas", lambda: replace(lib, **{failing: fails_at_call}))
+    H, amps = _hamiltonian(11, 5), _states(enumerate_sector(11, 5))["neel"]
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        propagate(H, amps, _TIMES)
+    assert str(raised.value).startswith(
+        f"eigendecomposition failed for dim=462 matrix: d{failing} info={info}")
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_propagate_nan_entry_is_dsytrd_info_minus_4(two_blas_threads):
+    H = _hamiltonian(11, 5)
+    H[3, 7] = H[7, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="dsytrd info=-4 .*NaN entry"):
+        propagate(H, _states(enumerate_sector(11, 5))["neel"], _TIMES)
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_propagate_copies_what_it_cannot_overwrite():
+    H = _hamiltonian(11, 5)
+    amps = _states(enumerate_sector(11, 5))["neel"]
+    expected = propagate(H.copy(), amps, _TIMES)
+    frozen = H.copy()
+    frozen.setflags(write=False)
+    for kept in (H.T.copy(order="F"), frozen):
+        before = kept.copy()
+        np.testing.assert_array_equal(propagate(kept, amps, _TIMES), expected)
+        np.testing.assert_array_equal(kept, before)
+    with pytest.raises(ValueError, match="state has dim 461"):
+        propagate(H, amps[1:], _TIMES)
+    with pytest.raises(ValueError, match="propagate needs a square"):
+        propagate(np.zeros((3, 4)), amps[:3], _TIMES)
+
+
+# one propagate at D=924 in a fresh interpreter: the growth of its peak RSS
+# from just before H is built, in units of 8 D^2 bytes; the tridiagonal path
+# is warmed on a D=12 matrix by lowering the crossover for that one call
+_PROPAGATE_PEAK_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from chainquench import blas
+from chainquench.evolve import TimeGrid, propagate
+from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
+from chainquench.hilbert import enumerate_sector
+params = ChainParams(n_sites=12, J=1.0, W=2.0, g=1.0)
+eps = sample_disorder(12, 1)
+times = TimeGrid().times
+crossover, blas.ONE_THREAD_BELOW = blas.ONE_THREAD_BELOW, 1
+propagate(build_hamiltonian(params, eps, enumerate_sector(12, 1)), np.eye(12)[0], times)
+blas.ONE_THREAD_BELOW = crossover
+sector = enumerate_sector(12, 6)
+amps = np.eye(sector.dim)[0]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+series = propagate(build_hamiltonian(params, eps, sector), amps, times)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / (8 * sector.dim**2))
+"""
+
+
+@needs_openblas
+def test_propagate_peak_memory_is_h_z_and_the_workspace():
+    # H, overwritten by its reflectors, T's eigenvectors Z and dstedc's D^2
+    # workspace: 3.1; one more D x D array, such as the product Q Z, makes 4
+    src = Path(blas.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", _PROPAGATE_PEAK_SCRIPT, str(src)],
                          capture_output=True, text=True, check=True, timeout=120)
     assert float(out.stdout) < 4.0

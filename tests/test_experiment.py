@@ -183,21 +183,22 @@ def _logging(fn, log):
 
 
 @pytest.mark.parametrize(
-    "g,particles,dims,propagations", [(0.0, [1], [8], 0), (1.0, [4], [70], 1)],
+    "g,particles,dims,propagations", [(0.0, [1], [8], []), (1.0, [4], [], [70])],
     ids=["free", "interacting"],
 )
 def test_neel_realization_builds_through_the_experiment_bindings(
     monkeypatch, g, particles, dims, propagations
 ):
     # the benchmark's set-up marker is the first call of experiment.build_hamiltonian,
-    # so the free path must reach build and decompose through these bindings
-    calls = {"build_hamiltonian": [], "decompose": [], "evolve_series": []}
+    # so the free path must reach build and decompose through these bindings, and
+    # the dense path build and propagate
+    calls = {"build_hamiltonian": [], "decompose": [], "propagate": []}
     for name, log in calls.items():
         monkeypatch.setattr(experiment, name, _logging(getattr(experiment, name), log))
     run_experiment(_small_config(n_sites=8, g=g, realizations=1))
     assert [args[2].n_particles for args, _ in calls["build_hamiltonian"]] == particles
     assert [spec.dim for _, spec in calls["decompose"]] == dims
-    assert len(calls["evolve_series"]) == propagations
+    assert [series.shape[1] for _, series in calls["propagate"]] == propagations
 
 
 def _dense_fields(config):

@@ -15,8 +15,8 @@ time-major (n_times, dim) amplitudes over a `TimeGrid`'s times. The sector
 Hamiltonians are real symmetric, so their eigenvectors are real, and the
 real and imaginary parts of a state propagate through real products: no
 complex copy of a D x D matrix is made. `decompose` and `propagate`
-overwrite H, with the eigenvectors or with the reflectors, so a sector
-holds three D x D arrays, H and LAPACK's workspace, and never a copy of H.
+overwrite H, with the eigenvectors or with T's and then the reflectors, so
+a sector holds H, LAPACK's workspace and at most half of H's size beside.
 The BLAS calls of a sector below `blas.ONE_THREAD_BELOW` states run on one
 OpenBLAS thread.
 """
@@ -165,12 +165,13 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     T = Z diag(lambda) Z^T (`dstedc`), and Q's Householder reflectors go
     onto the 2 real columns of the state and the 2 n_times real columns of
     psi(t) = Q Z exp(-i lambda t) Z^T Q^T psi0 (`dormtr`). That skips the
-    2 D^3 product Q Z; the call holds H (then Q's reflectors), Z and
+    2 D^3 product Q Z. Z overwrites H after the first `dormtr`; the
+    reflectors, copied aside, return for the second, so H ends holding them
+    over the rest of Z. The call holds H, their copy (half of H) and
     `dstedc`'s D^2 workspace. `dsytrd`, `dstedc` and the products keep the
-    library's thread count, as every sector of that size does; `dormtr`
-    runs on one OpenBLAS thread, where a second one costs time on such thin
-    blocks. H is copied first unless it is a writeable C-contiguous float64
-    array.
+    library's thread count, as every sector of that size does; `dormtr` runs
+    on one OpenBLAS thread, where a second one costs time on such thin
+    blocks. H is copied first unless it is writeable C-contiguous float64.
     """
     dim = _square_dim(H, "propagate")
     if len(amplitudes) != dim:
@@ -182,14 +183,18 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     amplitudes = np.asarray(amplitudes)
     eigenvalues, e, tau = np.empty(dim), np.empty(dim - 1), np.empty(dim - 1)
     _check_info(lib.sytrd(H, eigenvalues, e, tau), "dsytrd", dim)
-    Z = np.empty((dim, dim))  # T's eigenvectors, one per row
-    _check_info(lib.stedc(eigenvalues, e, Z), "dstedc", dim)
     state = np.array([amplitudes.real, amplitudes.imag], dtype=np.float64)
     with blas.serial_blas():
         _check_info(lib.ormtr(b"T", H, tau, state), "dormtr", dim)
-    re, im = state @ Z.T  # the coefficients Z^T Q^T psi0
+    # dormtr reads reflector i from row i of H's buffer, column i + 2 on, only
+    reflectors = [H[i, i + 2:] for i in range(dim - 2)]
+    saved = [row.copy() for row in reflectors]
+    _check_info(lib.stedc(eigenvalues, e, H), "dstedc", dim)  # Z over H, one per row
+    re, im = state @ H.T  # the coefficients Z^T Q^T psi0
     # the (dim, 2 n_times) block Z parts, column-major: C-ordered, it is its transpose
-    product = _phased(eigenvalues, re + 1j * im, times).T @ Z
+    product = _phased(eigenvalues, re + 1j * im, times).T @ H
+    for row, copy in zip(reflectors, saved):
+        row[...] = copy
     with blas.serial_blas():
         _check_info(lib.ormtr(b"N", H, tau, product), "dormtr", dim)
     return _complex_rows(product)

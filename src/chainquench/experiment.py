@@ -111,15 +111,15 @@ class ExperimentConfig:
         #   states of every occupied sector (2^N for max_coherent), and four
         #   on the Slater path, whose Laplace steps sum products of gathered
         #   minors (tracemalloc, N=12 and 14 Néel, 200 times: 4.0 of them);
-        # - 3.2 dense Hamiltonians of the largest sector unless the run is a
-        #   Slater one: H, overwritten by its reflectors, plus T's
-        #   eigenvectors Z and dstedc's D^2 workspace (ru_maxrss of a child,
-        #   N=14 Néel, D=3432: 3.12; below 462 states dsyevd's eigenvectors
-        #   overwrite H, beside its 2 D^2 workspace);
-        # - in local mode, the amplitudes, the (n_times, 2^N) dense state and
-        #   one transposed copy of it (tracemalloc, N=10 max_coherent: 3.07
-        #   dense states), or one window's (n_times, 2^w, 2^w) matrices and
-        #   their real Gram, twice their size (N=10, w=8 and 9: 3.0).
+        # - 2.7 dense Hamiltonians of the largest sector unless the run is a
+        #   Slater one: H, overwritten by T's eigenvectors, half of it in
+        #   copied reflectors and dstedc's D^2 workspace (ru_maxrss of a child,
+        #   N=14 Néel, D=3432: 2.62; below 462 states dsyevd's 3.2, < 6 MB);
+        # - in local mode, the amplitudes, their concatenation if they span
+        #   several sectors, the gather buffer, one window's matrices and their
+        #   Gram, 3 * 16 n_times 4^w, 16 D bytes of cached plan per window and
+        #   6 more while one is built (tracemalloc, 61 times: 2.02 amplitudes
+        #   for Néel, 3.02 for max_coherent, 3.05 window matrices at w=8).
         # Every run builds an N x N matrix or larger, so 8 N^2 first rules out
         # any N whose comb(N, k) or 2^N would itself take long to compute
         n = self.chain.n_sites
@@ -133,9 +133,11 @@ class ExperimentConfig:
             if _slater(self):
                 largest = max(largest, 4 * 16 * n_times * total)
             else:
-                largest = max(largest, 2 * 16 * n_times * total, 3.2 * 8 * d**2)
+                largest = max(largest, 2 * 16 * n_times * total, 2.7 * 8 * d**2)
             if self.mode == "local":
-                largest = max(largest, 16 * n_times * max(total + 2 * 2**n, 3 * 4**self.window))
+                copies = (3 if self.initial_state == "max_coherent" else 2) * total
+                plans = (n - self.window + 7) * total
+                largest = max(largest, 16 * (n_times * (copies + 3 * 4**self.window) + plans))
         if largest * concurrent > memory:
             raise MemoryLimitError(
                 f"N={n} with n_times={n_times} and {concurrent} realization(s) at once "

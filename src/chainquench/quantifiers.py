@@ -11,17 +11,19 @@ of the relevant space, making the three quantities sum to one. Global
 quantities use the full 2^N computational dimension (components outside
 the occupied particle-number sectors are zero and contribute nothing);
 n-site window quantities use 2^n. Window density matrices come from the
-state's dense 2^N amplitudes (`BlockState.to_dense`): one transposed copy of
-their real and imaginary parts per window and one real Gram matrix.
+sector blocks alone, never from dense 2^N amplitudes: one gather per window
+and one real Gram per group of complements beside the same window patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .hilbert import enumerate_sector
 from .states import BlockState
 
 NORM_ATOL = 1e-8
@@ -92,27 +94,67 @@ def global_quantifiers(psi: BlockState) -> QuantifierTriple:
     return QuantifierTriple(C=(s1 * s1 - 1.0) / scale, P=(d - s1 * s1) / scale, E=0.0)
 
 
-def _window_matrix(dense: np.ndarray, first_site: int, width: int) -> np.ndarray:
-    """(..., 2^w, 2^w) density matrix of one site window, from all 2^N amplitudes.
+@lru_cache(maxsize=None)
+def _gather_plan(n_sites: int, counts: tuple[int, ...], first_site: int, width: int):
+    """Where one window's amplitudes lie in blocks of particle counts `counts`.
 
-    rho = x x^T + y y^T + i (y x^T - x y^T) for the real and imaginary parts
-    x, y of the (window, rest) amplitude matrix, taken from one real Gram
-    matrix of the rows of x and y interleaved.
+    A complement b (the sites outside the window) of popcount c sits beside
+    the patterns a of popcount in counts - c. By that set, `index` groups the
+    blocks' real and imaginary parts into rows (a, re/im) by columns b, both
+    ascending. Places come from ranks: a sort's first call maps code.
     """
-    # pattern bits are (high, window, low), low = first_site - 1 bits, and the
-    # float64 view adds a (re, im) axis; r is (window re/im, high low)
-    lead = dense.shape[:-1]
+    low = first_site - 1
+    states = np.concatenate([enumerate_sector(n_sites, k).states for k in counts])
+    pattern = (states >> low) & ((1 << width) - 1)
+    rest = (states >> (low + width) << low) | (states & ((1 << low) - 1))
+    # bit j of beside[c]: patterns of popcount j sit beside complements of popcount c
+    beside = [sum(1 << (k - c) for k in counts if 0 <= k - c <= width)
+              for c in range(n_sites - width + 1)]
+    group = np.array(beside)[np.bitwise_count(rest)]
+    index = np.empty(2 * len(states), dtype=np.intp)
+    groups, start = [], 0
+    for mask in filter(None, dict.fromkeys(beside)):
+        patterns = np.array([a for a in range(1 << width) if mask >> a.bit_count() & 1])
+        members = np.flatnonzero(group == mask)
+        # b's rank among the group's complements: those below it, class by class
+        classes = [enumerate_sector(n_sites - width, c).states
+                   for c, other in enumerate(beside) if other == mask]
+        n_rest = sum(map(len, classes))
+        column = sum(np.searchsorted(below, rest[members]) for below in classes)
+        place = start + 2 * np.searchsorted(patterns, pattern[members]) * n_rest + column
+        index[place], index[place + n_rest] = 2 * members, 2 * members + 1
+        groups.append((patterns, slice(start, start + 2 * len(members))))
+        start += 2 * len(members)
+    index.setflags(write=False)
+    return index, tuple(groups)
+
+
+def _window_matrices(psi: BlockState, width: int, firsts: Iterable[int]) -> Iterator[np.ndarray]:
+    """Each window's (..., 2^w, 2^w) density matrix in turn, from the sector blocks:
+    x x^T + y y^T + i (y x^T - x y^T) for each group's gathered parts x, y."""
+    _check_norm(psi)
+    parts = [np.asarray(amps, dtype=complex).reshape(-1, sector.dim).view(np.float64)
+             for sector, amps in psi.blocks]
+    columns = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    buffer = np.empty(columns.shape)
+    counts = tuple(sector.n_particles for sector, _ in psi.blocks)
     d = 1 << width
-    low = 1 << (first_site - 1)
-    parts = dense.view(np.float64).reshape((-1, dense.shape[-1] // (d * low), d, low, 2))
-    r = parts.transpose(0, 2, 4, 1, 3).reshape((len(parts), 2 * d, -1))
-    # a 3-D stack even at one time, so each time's Gram is the same product
-    # whether the state holds one time or many
-    g = r @ r.swapaxes(-1, -2)
-    rho = np.empty((len(g), d, d), dtype=complex)
-    np.add(g[:, 0::2, 0::2], g[:, 1::2, 1::2], out=rho.real)
-    np.subtract(g[:, 1::2, 0::2], g[:, 0::2, 1::2], out=rho.imag)
-    return rho.reshape(lead + (d, d))
+    for first in firsts:
+        index, groups = _gather_plan(psi.n_sites, counts, first, width)
+        np.take(columns, index, axis=-1, out=buffer, mode="clip")
+        rho = np.zeros((len(buffer), d, d), dtype=complex)
+        for patterns, part in groups:
+            r = buffer[:, part].reshape(len(buffer), 2 * len(patterns), -1)
+            # a 3-D stack even at one time: each time's Gram is the same product
+            g = r @ r.swapaxes(-1, -2)
+            # all patterns add in place, so such a window peaks at rho and one Gram
+            block = ... if len(patterns) == d else (slice(None), patterns[:, None], patterns)
+            rho.real[block] += g[:, 0::2, 0::2]
+            rho.real[block] += g[:, 1::2, 1::2]
+            rho.imag[block] += g[:, 1::2, 0::2]
+            rho.imag[block] -= g[:, 0::2, 1::2]
+        del g  # before the next window's rho and Gram, which is twice its size
+        yield rho.reshape(psi.time_shape + (d, d))
 
 
 def partial_trace(psi: BlockState, keep_sites: Sequence[int]) -> np.ndarray:
@@ -135,8 +177,7 @@ def partial_trace(psi: BlockState, keep_sites: Sequence[int]) -> np.ndarray:
         raise NotImplementedError(
             f"only contiguous ascending site windows are supported, got {keep}"
         )
-    _check_norm(psi)
-    return _window_matrix(psi.to_dense(), keep[0], len(keep))
+    return next(_window_matrices(psi, len(keep), [keep[0]]))
 
 
 def local_quantifiers(psi: BlockState, n: int) -> QuantifierTriple:
@@ -144,12 +185,9 @@ def local_quantifiers(psi: BlockState, n: int) -> QuantifierTriple:
     n_sites = psi.n_sites
     if not 1 <= n <= n_sites:
         raise ValueError(f"window size {n} outside 1..{n_sites}")
-    _check_norm(psi)
-    dense = psi.to_dense()
     c_sum = p_sum = e_sum = 0.0
     n_windows = n_sites - n + 1
-    for first in range(1, n_windows + 1):
-        rho = _window_matrix(dense, first, n)
+    for rho in _window_matrices(psi, n, range(1, n_windows + 1)):
         c_sum += coherence_l1(rho)
         p_sum += predictability_l1(rho)
         e_sum += entanglement_l1(rho)

@@ -42,13 +42,6 @@ class BlockState:
         """Squared norm, one value per time."""
         return sum(np.sum(np.abs(amps) ** 2, axis=-1) for _, amps in self.blocks)
 
-    def to_dense(self) -> np.ndarray:
-        """Scatter onto the full 2^N computational basis (bit pattern = index)."""
-        out = np.zeros(self.time_shape + (1 << self.n_sites,), dtype=complex)
-        for sector, amps in self.blocks:
-            out[..., sector.states] = amps
-        return out
-
     @classmethod
     def from_dense(cls, amplitudes: np.ndarray, n_sites: int) -> "BlockState":
         """Split full 2^N amplitudes (last axis) into their nonzero sector blocks."""

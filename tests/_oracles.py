@@ -97,6 +97,14 @@ def dense_hamiltonian(n_sites, J, W, g, epsilon, boundary="open"):
     return H
 
 
+def dense_amplitudes(psi):
+    """A BlockState's amplitudes on all 2^N basis states (bit pattern = index)."""
+    out = np.zeros(psi.time_shape + (1 << psi.n_sites,), dtype=complex)
+    for sector, amps in psi.blocks:
+        out[..., sector.states] = amps
+    return out
+
+
 def dense_partial_trace(vec, n_sites, keep_sites):
     """Outer-product-then-trace reduction of a full 2^N pure state."""
     rho = np.outer(vec, np.conj(vec))

@@ -34,6 +34,7 @@ from chainquench.quantifiers import (
 from chainquench.states import BlockState, max_coherent, neel, w_state
 
 from _oracles import (
+    dense_amplitudes,
     dense_hamiltonian,
     dense_partial_trace,
     quantifiers_from_rho,
@@ -129,7 +130,7 @@ def test_criterion_03_small_chain_oracle_equivalence():
         series = evolve_series(spec, amps0, grid.times)
 
         dense_h = dense_hamiltonian(n, params.J, params.W, params.g, eps)
-        psi_dense0 = psi0.to_dense()
+        psi_dense0 = dense_amplitudes(psi0)
         for j, t in enumerate(grid.times):
             psi_t = BlockState(n_sites=n, blocks=((sector0, series[j]),))
             vec = scipy.linalg.expm(-1j * dense_h * t) @ psi_dense0
@@ -234,6 +235,7 @@ def test_criterion_06_w_state_interaction_independence():
     assert gap <= 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_07_weak_disorder_classification():
     # N=14: at N=12 the weak-disorder interacting drift ends near t ~ 100,
     # before the last-decade window; at N=14 it reaches the window
@@ -269,6 +271,7 @@ def test_criterion_07_weak_disorder_classification():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_robustness_across_disorder():
     base = make_default_config(
         n_sites=12,
@@ -297,6 +300,7 @@ def test_criterion_08_robustness_across_disorder():
         )
 
 
+@pytest.mark.slow
 def test_criterion_09_bipartite_cancellation():
     config = make_default_config(
         n_sites=12,

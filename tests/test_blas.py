@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,7 +279,8 @@ def test_propagate_runs_dormtr_on_one_thread(counting, monkeypatch):
     monkeypatch.setattr(blas, "openblas", lambda lib=_recording(blas.openblas(), counting, seen): lib)
     H, amps = _hamiltonian(11, 5), _states(enumerate_sector(11, 5))["neel"]
     propagate(H.copy(), amps, _TIMES)
-    assert seen == [("sytrd", 2), ("stedc", 2), ("ormtr", 1), ("ormtr", 1)]
+    # the state's dormtr runs before dstedc writes Z over the reflectors
+    assert seen == [("sytrd", 2), ("ormtr", 1), ("stedc", 2), ("ormtr", 1)]
     assert counting.sets == [1, 2, 1, 2]
     # a pool's workers, already on one thread, never set the count
     seen.clear()
@@ -286,7 +288,7 @@ def test_propagate_runs_dormtr_on_one_thread(counting, monkeypatch):
         counting.sets.clear()
         propagate(H.copy(), amps, _TIMES)
         assert counting.sets == []
-    assert seen == [("sytrd", 1), ("stedc", 1), ("ormtr", 1), ("ormtr", 1)]
+    assert seen == [("sytrd", 1), ("ormtr", 1), ("stedc", 1), ("ormtr", 1)]
 
 
 @needs_openblas
@@ -367,9 +369,28 @@ print((after - before) * 1024 / (8 * sector.dim**2))
 
 @needs_openblas
 def test_propagate_peak_memory_is_h_z_and_the_workspace():
-    # H, overwritten by its reflectors, T's eigenvectors Z and dstedc's D^2
-    # workspace: 3.1; one more D x D array, such as the product Q Z, makes 4
+    # H, overwritten by T's eigenvectors Z, the reflectors' copy beside it
+    # and dstedc's D^2 workspace: 3.0 here, the (n_times, D) arrays included
+    # (2.6 at D=3432); one more D x D array, such as the product Q Z, makes 4
     src = Path(blas.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", _PROPAGATE_PEAK_SCRIPT, str(src)],
                          capture_output=True, text=True, check=True, timeout=120)
     assert float(out.stdout) < 4.0
+
+
+@needs_openblas
+def test_propagate_allocates_no_second_square_array():
+    # numpy's allocations only: the reflectors' copy, half of H, and the
+    # (n_times, D) phases and products; Z overwrites H, and LAPACKE's own
+    # workspace is not traced
+    H = _hamiltonian(11, 5)  # D = 462
+    amps = _states(enumerate_sector(11, 5))["neel"]
+    propagate(H.copy(), amps, _TIMES)  # allocates whatever a first call does
+    tracemalloc.start()
+    try:
+        propagate(H, amps, _TIMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = len(H)
+    assert peak < 0.6 * 8 * dim**2 + 3 * 16 * len(_TIMES) * dim

@@ -214,7 +214,7 @@ def test_run_and_sweep_size_memory_for_their_workers(tmp_path, host_with_8_gib, 
 
     monkeypatch.setattr(experiment, "_single_trajectory", no_realization)
     out = tmp_path / "out"
-    # N=16 Néel at g=1 needs 4.2 GB per realization: one or two workers fit
+    # N=16 Néel at g=1 needs 3.6 GB per realization: one or two workers fit
     # in 8 GiB and three do not, in a run or in a sweep's g=1 cell
     cfg = _write_config(tmp_path, n_sites=16, realizations=3, W_values=[2.0], g_values=[0.0, 1.0])
     for command in ("run", "sweep"):

@@ -13,7 +13,7 @@ from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disor
 from chainquench.hilbert import enumerate_sector, full_space
 from chainquench.states import BlockState, max_coherent, neel
 
-from _oracles import dense_hamiltonian, random_pure_state
+from _oracles import dense_amplitudes, dense_hamiltonian, random_pure_state
 
 
 def test_decompose_pauli_x():
@@ -136,8 +136,8 @@ def test_multisector_against_dense_propagator():
     evolved = BlockState(n_sites=n, blocks=blocks)
 
     full = dense_hamiltonian(n, params.J, params.W, params.g, eps)
-    expected = scipy.linalg.expm(-1j * full * 1.0) @ psi0.to_dense()
-    np.testing.assert_allclose(evolved.to_dense(), expected, atol=1e-11)
+    expected = scipy.linalg.expm(-1j * full * 1.0) @ dense_amplitudes(psi0)
+    np.testing.assert_allclose(dense_amplitudes(evolved), expected, atol=1e-11)
     assert abs(evolved.norm2() - 1.0) < 1e-10
 
 

@@ -255,20 +255,24 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     # need 8 * comb(40, 20)**2 bytes for its sector Hamiltonian
     with pytest.raises(ValueError, match="physical memory"):
         _small_config(n_sites=40)
-    # 16 * 13 times * 2**40 bytes for the local-mode dense state
-    with pytest.raises(ValueError, match="physical memory"):
-        _small_config(n_sites=40, initial_state="w_state", mode="local", window=2)
+    # local mode holds the sector blocks, never 2**N amplitudes: a W state
+    # needs 16 * (13 * (2 * N + 3 * 4**2) + (N + 5) * N) bytes
+    _small_config(n_sites=40, initial_state="w_state", mode="local", window=2)
+    _small_config(n_sites=25, initial_state="w_state", mode="local", window=2)
     with pytest.raises(ValueError, match="physical memory"):
         _small_config(n_sites=10**12, initial_state="w_state")  # settled without comb(N, k)
-    # the amplitudes, the dense state and one transposed copy:
-    # 16 * 13 * (25 + 2 * 2**25) bytes (14.0 GB)
+    # max_coherent's blocks, their concatenation and the gather buffer:
+    # 16 * 13 * 3 * 2**N bytes, 21 GB at N=25, beside 2.7 * 8 * comb(N, N // 2)**2
+    # for its largest sector
     with pytest.raises(ValueError, match="physical memory"):
-        _small_config(n_sites=25, initial_state="w_state", mode="local", window=2)
+        _small_config(n_sites=40, initial_state="max_coherent", mode="local", window=2)
+    with pytest.raises(ValueError, match="physical memory"):
+        _small_config(n_sites=25, initial_state="max_coherent", mode="local", window=2)
     _small_config(n_sites=14)
     _small_config(n_sites=14, mode="local", window=2, grid=TimeGrid())
     _small_config(n_sites=30, initial_state="w_state")  # one-particle sector, D = 30
     # 61 times: 3 * 16 * 61 * 4**w bytes for an N=12 window and its real Gram
-    # (12.3 GB at w=11), 3.2 * 8 * comb(18, 9)**2 (60.5 GB) for a dense N=18
+    # (12.3 GB at w=11), 2.7 * 8 * comb(18, 9)**2 (51.1 GB) for a dense N=18
     # Hamiltonian, and 4 * 16 * 61 * comb(18, 9) (190 MB) of N=18 Slater
     # amplitudes
     with pytest.raises(ValueError, match="physical memory"):
@@ -278,8 +282,8 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     make_default_config(n_sites=18, g=0.0, initial_state="max_incoherent", mode="local", window=2)
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(n_sites=18, g=1.0)
-    # the in-place eigh's peak, 3.2 * 8 * D**2: 15.1 GB for max_coherent's
-    # largest N=17 sector (D = 24310), 4.2 GB for N=16 Néel (D = 12870)
+    # the tridiagonal path's peak, 2.7 * 8 * D**2: 12.8 GB for max_coherent's
+    # largest N=17 sector (D = 24310), 3.6 GB for N=16 Néel (D = 12870)
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(n_sites=17, initial_state="max_coherent")
     make_default_config(n_sites=16)
@@ -303,7 +307,8 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=100_000))  # 13.1 GB
     make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=50_000))  # 6.6 GB
-    # in local mode its 2**12 amplitudes sit beside the dense state and its copy
+    # in local mode its 2**12 amplitudes sit beside their concatenation and
+    # the gather buffer
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(initial_state="max_coherent", mode="local", window=2,
                             grid=TimeGrid(n_points=50_000))  # 9.8 GB
@@ -314,10 +319,10 @@ def test_memory_guard_counts_concurrent_realizations(host_with_8_gib, monkeypatc
         raise AssertionError("a realization started")
 
     monkeypatch.setattr(experiment, "_single_trajectory", no_realization)
-    # each worker runs its own realization: N=16 Néel needs 4.2 GB apiece
+    # each worker runs its own realization: N=16 Néel needs 3.6 GB apiece
     config = make_default_config(n_sites=16)
     config.check_memory(1)
-    config.check_memory(2)  # 8.5 GB
+    config.check_memory(2)  # 7.2 GB
     with pytest.raises(experiment.MemoryLimitError, match="3 realization\\(s\\) at once .* physical memory"):
         config.check_memory(3)
     with pytest.raises(experiment.MemoryLimitError):

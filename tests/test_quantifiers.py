@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainquench.evolve import decompose, evolve_series
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
 from chainquench.quantifiers import (
+    _gather_plan,
     coherence_l1,
     entanglement_l1,
     global_quantifiers,
@@ -18,6 +19,7 @@ from chainquench.quantifiers import (
 from chainquench.states import BlockState, max_coherent, neel
 
 from _oracles import (
+    dense_amplitudes,
     dense_partial_trace,
     quantifiers_from_rho,
     random_density_matrix,
@@ -143,12 +145,13 @@ def test_partial_trace_bell_pair():
     np.testing.assert_allclose(rho, np.eye(2) / 2.0, atol=1e-15)
 
 
+@pytest.mark.slow
 def test_partial_trace_matches_dense_oracle():
     # time-major states, one sector and many, every window at every time
     rng = np.random.default_rng(37)
     for n, n_particles in ((6, 3), (6, None), (8, 4), (8, None)):
         psi = _random_state_over_time(rng, n, 3, n_particles)
-        dense = psi.to_dense()
+        dense = dense_amplitudes(psi)
         for width in range(1, n + 1):
             for first in range(1, n + 2 - width):
                 window = list(range(first, first + width))
@@ -288,3 +291,57 @@ def test_time_axis_changes_no_bits(psi):
         assert np.array_equal(rho, np.stack([partial_trace(p, window) for p in slices]))
         for quantifier in (coherence_l1, predictability_l1, entanglement_l1):
             assert np.array_equal(quantifier(rho), np.stack([quantifier(r) for r in rho]))
+
+
+def _sector_subset_state(n, counts, n_times, seed):
+    """A random state on sectors `counts`, in that block order, at one time
+    (n_times=None) or over n_times times."""
+    rng = np.random.default_rng(seed)
+    lead = () if n_times is None else (n_times,)
+    blocks = []
+    for k in counts:
+        sector = enumerate_sector(n, k)
+        blocks.append((sector, rng.standard_normal(lead + (sector.dim,))
+                       + 1j * rng.standard_normal(lead + (sector.dim,))))
+    norm = np.sqrt(sum(np.sum(np.abs(amps) ** 2, axis=-1) for _, amps in blocks))
+    return BlockState(n_sites=n, blocks=tuple((s, a / norm[..., None]) for s, a in blocks))
+
+
+@st.composite
+def _sector_subset_states(draw):
+    n = draw(st.integers(1, 6))
+    counts = draw(st.permutations(sorted(draw(st.sets(st.integers(0, n), min_size=1)))))
+    n_times = draw(st.one_of(st.none(), st.integers(1, 3)))
+    return _sector_subset_state(n, counts, n_times, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_sector_subset_states())
+@example(_sector_subset_state(6, (3, 1), 2, 0))  # a gap between sectors, blocks out of order
+@example(_sector_subset_state(5, (1, 3), None, 1))
+def test_block_gathered_windows_match_the_dense_oracle(psi):
+    n = psi.n_sites
+    counts = tuple(sector.n_particles for sector, _ in psi.blocks)
+    total = sum(sector.dim for sector, _ in psi.blocks)
+    dense = dense_amplitudes(psi).reshape(-1, 1 << n)
+    for width in range(1, n + 1):
+        sums = np.zeros((3, len(dense)))
+        for first in range(1, n + 2 - width):
+            index, groups = _gather_plan(n, counts, first, width)
+            assert np.array_equal(np.sort(index), np.arange(2 * total))
+            # each group's columns follow the last one's, rows by complements
+            stops = [0] + [part.stop for _, part in groups]
+            assert [part.start for _, part in groups] == stops[:-1] and stops[-1] == 2 * total
+            assert all((part.stop - part.start) % (2 * len(patterns)) == 0
+                       for patterns, part in groups)
+            window = range(first, first + width)
+            rho = partial_trace(psi, window)
+            assert rho.shape == psi.time_shape + (1 << width, 1 << width)
+            for j, (vec, got) in enumerate(zip(dense, rho.reshape((-1,) + rho.shape[-2:]))):
+                ref = dense_partial_trace(vec, n, list(window))
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+                sums[:, j] += quantifiers_from_rho(ref)
+        trip = local_quantifiers(psi, width)
+        scale = ((1 << width) - 1) * (n - width + 1)
+        for got, want in zip((trip.C, trip.P, trip.E), sums / scale):
+            np.testing.assert_allclose(np.reshape(got, -1), want, rtol=0, atol=1e-12)

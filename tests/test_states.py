@@ -4,7 +4,7 @@ import pytest
 from chainquench.quantifiers import global_quantifiers
 from chainquench.states import BlockState, max_coherent, max_incoherent, neel, w_state
 
-from _oracles import quantifiers_from_rho, random_pure_state
+from _oracles import dense_amplitudes, quantifiers_from_rho, random_pure_state
 
 
 def test_neel_pattern():
@@ -41,7 +41,7 @@ def test_max_incoherent_pattern():
 
 def test_max_coherent_uniform():
     state = max_coherent(2)
-    np.testing.assert_allclose(state.to_dense(), np.full(4, 0.5), atol=1e-15)
+    np.testing.assert_allclose(dense_amplitudes(state), np.full(4, 0.5), atol=1e-15)
     trip = global_quantifiers(state)
     assert trip.C == pytest.approx(1.0, abs=1e-12)
     assert trip.P == pytest.approx(0.0, abs=1e-12)
@@ -59,7 +59,7 @@ def test_max_coherent_block_structure():
 def test_w_state_quantifiers_against_dense_rho():
     psi = w_state(3)
     assert psi.norm2() == pytest.approx(1.0, abs=1e-15)
-    rho = np.outer(psi.to_dense(), psi.to_dense().conj())
+    rho = np.outer(dense_amplitudes(psi), dense_amplitudes(psi).conj())
     raw_c, raw_p, raw_e = quantifiers_from_rho(rho)
     assert raw_c == pytest.approx(2.0, abs=1e-12)  # N - 1
     assert raw_p == pytest.approx(5.0, abs=1e-12)  # d - 1 - (N - 1)
@@ -79,7 +79,7 @@ def test_from_dense_roundtrip():
     rng = np.random.default_rng(21)
     vec = random_pure_state(rng, 1 << 5)
     state = BlockState.from_dense(vec, 5)
-    np.testing.assert_allclose(state.to_dense(), vec, atol=1e-15)
+    np.testing.assert_allclose(dense_amplitudes(state), vec, atol=1e-15)
     counts = [sector.n_particles for sector, _ in state.blocks]
     assert counts == sorted(set(counts))
 

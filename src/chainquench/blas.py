@@ -1,17 +1,17 @@
 """The OpenBLAS that numpy loaded, reached through ctypes.
 
-Each realization worker diagonalizes its sectors with the library's LAPACKE
-routines, in place on the caller's buffer: `dsyevd` (`OpenBLAS.syevd`)
-below `ONE_THREAD_BELOW` states, and at or above it the tridiagonal
-reduction `dsytrd`, the divide-and-conquer `dstedc` and the back-transform
-`dormtr`, which `evolve.propagate` applies to the propagated columns only.
-ctypes releases the GIL for each call, so workers diagonalize in parallel.
+Each realization worker propagates a sector of `ONE_THREAD_BELOW` states or
+more through the library's LAPACKE routines, in place on the caller's
+buffer: the tridiagonal reduction `dsytrd`, the divide-and-conquer `dstedc`
+and the back-transform `dormtr`, which `evolve.propagate` applies to the
+propagated columns only. Smaller sectors go through numpy's `eigh`. ctypes
+releases the GIL for each call, so workers diagonalize in parallel.
 OpenBLAS starts its own threads inside every call, so a worker pool on top
 of them oversubscribes the cores. `one_blas_thread` pins OpenBLAS to one
 thread while a pool runs. Outside a pool, `blas_threads_for` runs the
 eigendecomposition and propagation products of a matrix below
 `ONE_THREAD_BELOW` rows on one thread, where a second thread saves little
-time and spins for the rest, and `serial_blas` does the same for thin
+time and spins for the rest, and `one_blas_thread` does the same for thin
 `dormtr` calls at any dimension. The thread count changes the bits LAPACK
 returns for large enough matrices, so a run records the count its sectors
 at or above that dimension computed under.
@@ -36,9 +36,10 @@ _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 # (OpenBLAS 0.3.31, default 2 threads) a second thread cut eigh's wall time
 # by at most a sixth below it (D=330: 9.2 vs 7.7 ms), for twice the CPU
 # time, by 9-22% at it and by 20-44% from D=495 up (D=924: 119 vs 71 ms).
-# It is also where `evolve.propagate` leaves dsyevd for the tridiagonal
-# path. Its eigendecomposition and propagation of one basis state over 61
-# times, median ms, dsyevd path -> tridiagonal path, alternating order:
+# It is also where `evolve.propagate` leaves the eigenvector path for the
+# tridiagonal one. Its eigendecomposition and propagation of one basis state
+# over 61 times, median ms, eigenvector path -> tridiagonal path, alternating
+# order:
 #   D          210        252        330         462         495         792        924
 #   1 thread  5.7->6.2   8.6->9.1  15.3->13.9  31.1->29.7  38.1->36.0  122->105   180->153
 #   2 threads 6.8->7.0   8.8->8.7  13.1->13.7  25.0->25.4  27.7->29.0   77->76    112->108
@@ -56,9 +57,6 @@ class OpenBLAS:
     # Each LAPACKE routine returns LAPACK's info and takes C-contiguous
     # float64 arrays. A C buffer read column-major is the transpose, so a
     # symmetric matrix's own, and the columns LAPACK writes there are rows.
-    # (a, w): the ascending eigenvalues of the symmetric D x D `a` into `w`
-    # and its eigenvectors over `a`, one per row
-    syevd: Callable[[np.ndarray, np.ndarray], int]
     # (a, d, e, tau): reduces the symmetric `a` to the tridiagonal
     # T = Q^T a Q, its diagonal into `d` and its off-diagonal into `e`, and
     # writes Q's Householder reflectors over `a`, their scales into `tau`
@@ -88,9 +86,9 @@ def openblas() -> OpenBLAS | None:
                     getattr(lib, f"{prefix}_{name}{suffix}")
                     for name in ("get_num_threads", "set_num_threads", "get_config")
                 ]
-                dsyevd, dsytrd, dstedc, dormtr = [
+                dsytrd, dstedc, dormtr = [
                     getattr(lib, f"{prefix.removesuffix('openblas')}LAPACKE_{name}{suffix}")
-                    for name in ("dsyevd", "dsytrd", "dstedc", "dormtr")
+                    for name in ("dsytrd", "dstedc", "dormtr")
                 ]
             except AttributeError:
                 continue
@@ -102,7 +100,6 @@ def openblas() -> OpenBLAS | None:
             index = ctypes.c_int64 if "USE64BITINT" in config else ctypes.c_int
             char, ptr = ctypes.c_char, ctypes.c_void_p
             for routine, args in (
-                (dsyevd, [char, char, index, ptr, index, ptr]),
                 (dsytrd, [char, index, ptr, index, ptr, ptr, ptr]),
                 (dstedc, [char, index, ptr, ptr, ptr, index]),
                 (dormtr, [char, char, char, index, index, ptr, index, ptr, ptr, index]),
@@ -110,8 +107,6 @@ def openblas() -> OpenBLAS | None:
                 routine.argtypes, routine.restype = [ctypes.c_int, *args], index
             return OpenBLAS(
                 path.name, config, get_threads, set_threads,
-                syevd=lambda a, w: dsyevd(
-                    _COL_MAJOR, b"V", b"L", len(a), a.ctypes.data, _ld(a), w.ctypes.data),
                 sytrd=lambda a, d, e, tau: dsytrd(
                     _COL_MAJOR, b"L", len(a), a.ctypes.data, _ld(a),
                     d.ctypes.data, e.ctypes.data, tau.ctypes.data),
@@ -135,14 +130,16 @@ def one_blas_thread() -> Iterator[int | None]:
     """Pin OpenBLAS to one thread inside the block, restoring the previous count.
 
     The count is process-wide, so it also holds for BLAS calls other threads
-    make meanwhile. Yields the count in effect: 1, or None when OpenBLAS is
-    not found and nothing is changed.
+    make meanwhile. It is only ever lowered: when it is already 1 or
+    OpenBLAS is not found, nothing is set, so a pool's workers never touch
+    the setting. Yields the count in effect: 1, or None when OpenBLAS is not
+    found.
     """
     lib = openblas()
-    if lib is None:
-        yield None
+    previous = None if lib is None else lib.get_num_threads()
+    if previous in (None, 1):
+        yield previous
         return
-    previous = lib.get_num_threads()
     lib.set_num_threads(1)
     try:
         yield 1
@@ -150,21 +147,6 @@ def one_blas_thread() -> Iterator[int | None]:
         lib.set_num_threads(previous)
 
 
-@contextmanager
-def serial_blas() -> Iterator[None]:
-    """`one_blas_thread`, unless the count is already 1 or OpenBLAS is not found.
-
-    The count is only ever lowered: inside `one_blas_thread` (a pool's
-    workers) or without OpenBLAS the block runs unchanged and no thread count
-    is set, so pool workers never touch the process-wide setting.
-    """
-    if blas_threads() in (None, 1):
-        yield
-    else:
-        with one_blas_thread():
-            yield
-
-
-def blas_threads_for(dim: int) -> AbstractContextManager[None]:
-    """`serial_blas` for a matrix of dimension below `ONE_THREAD_BELOW`, else nothing."""
-    return serial_blas() if dim < ONE_THREAD_BELOW else nullcontext()
+def blas_threads_for(dim: int) -> AbstractContextManager[int | None]:
+    """`one_blas_thread` for a matrix of dimension below `ONE_THREAD_BELOW`, else nothing."""
+    return one_blas_thread() if dim < ONE_THREAD_BELOW else nullcontext()

@@ -14,11 +14,10 @@ its amplitudes are minors of the one-particle propagator. All return
 time-major (n_times, dim) amplitudes over a `TimeGrid`'s times. The sector
 Hamiltonians are real symmetric, so their eigenvectors are real, and the
 real and imaginary parts of a state propagate through real products: no
-complex copy of a D x D matrix is made. `decompose` and `propagate`
-overwrite H, with the eigenvectors or with T's and then the reflectors, so
-a sector holds H, LAPACK's workspace and at most half of H's size beside.
-The BLAS calls of a sector below `blas.ONE_THREAD_BELOW` states run on one
-OpenBLAS thread.
+complex copy of a D x D matrix is made. `decompose` leaves H as it was;
+`propagate` may overwrite it, at or above that dimension with T's
+eigenvectors and then the reflectors. The BLAS calls of a sector below
+`blas.ONE_THREAD_BELOW` states run on one OpenBLAS thread.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class TimeGrid:
 
 
 # the LAPACKE codes of a NaN in an array argument, which LAPACKE scans first
-_NAN_INFO = {"dsyevd": (-5,), "dsytrd": (-4,), "dstedc": (-4, -5), "dormtr": (-7, -9, -10)}
+_NAN_INFO = {"dsytrd": (-4,), "dstedc": (-4, -5), "dormtr": (-7, -9, -10)}
 
 
 def _check_info(info: int, routine: str, dim: int) -> None:
@@ -96,25 +95,17 @@ def _square_dim(H: np.ndarray, caller: str) -> int:
 
 
 def decompose(H: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a dense real symmetric sector Hamiltonian, in place.
+    """Full eigendecomposition of a dense real symmetric sector Hamiltonian.
 
-    The eigenvectors overwrite H: LAPACK's `dsyevd` runs on H's own buffer,
-    and `eigenvectors` is `H.T`, a view of it, so the call holds H and
-    LAPACK's 2 D^2 workspace and copies nothing. H then holds the
-    eigenvectors as rows; pass `H.copy()` to keep H. An H that is not a
-    writeable C-contiguous float64 array is copied first and left as it was,
-    and so is every H when no OpenBLAS is found and numpy's `eigh` runs.
+    numpy's `eigh`, on one OpenBLAS thread below `blas.ONE_THREAD_BELOW`
+    states; H is left as it was.
     """
     dim = _square_dim(H, "decompose")
-    lib = blas.openblas()
     with blas.blas_threads_for(dim):
-        if lib is None:
+        try:
             return SpectralDecomposition(*np.linalg.eigh(H))
-        H = np.require(H, np.float64, ["C", "W"])
-        eigenvalues = np.empty(dim)
-        info = lib.syevd(H, eigenvalues)
-    _check_info(info, "dsyevd", dim)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=H.T)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"eigendecomposition failed for dim={dim} matrix: {exc}")
 
 
 def evolve_series(
@@ -132,8 +123,9 @@ def evolve_series(
         raise ValueError("evolve_series needs real eigenvectors, of a real symmetric matrix")
     amplitudes = np.asarray(amplitudes)
     with blas.blas_threads_for(spec.dim):
-        # dim-major phases: on decompose's F-ordered V these operand layouts
-        # take the BLAS kernels that time-major ones take on a C-ordered V
+        # dim-major phases: this operand order fixes the CSV bits. Time-major
+        # ones, V @ phases, move them by up to 4e-15 at D=252 and run no
+        # faster (one thread, 61 times); V's memory order changes neither
         re, im = np.stack([amplitudes.real, amplitudes.imag], axis=1).T @ V
         product = _phased(spec.eigenvalues, re + 1j * im, times).T @ V.T
     return _complex_rows(product)
@@ -156,14 +148,15 @@ def _complex_rows(product: np.ndarray) -> np.ndarray:
 
 
 def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """A sector's amplitudes at every grid time, time-major (n_times, dim); H is overwritten.
+    """A sector's amplitudes at every grid time, time-major (n_times, dim); may overwrite H.
 
     Below `blas.ONE_THREAD_BELOW` states, or when no OpenBLAS is found, this
-    is `evolve_series(decompose(H), amplitudes, times)`, bit for bit. At or
-    above it the eigenvectors V = Q Z are never formed: LAPACK reduces H in
-    place to the tridiagonal T = Q^T H Q (`dsytrd`) and diagonalizes
-    T = Z diag(lambda) Z^T (`dstedc`), and Q's Householder reflectors go
-    onto the 2 real columns of the state and the 2 n_times real columns of
+    is `evolve_series(decompose(H), amplitudes, times)`, bit for bit, and H
+    is left as it was. At or above it the eigenvectors V = Q Z are never
+    formed: LAPACK reduces H in place to the tridiagonal T = Q^T H Q
+    (`dsytrd`) and diagonalizes T = Z diag(lambda) Z^T (`dstedc`), and Q's
+    Householder reflectors go onto the 2 real columns of the state and the
+    2 n_times real columns of
     psi(t) = Q Z exp(-i lambda t) Z^T Q^T psi0 (`dormtr`). That skips the
     2 D^3 product Q Z. Z overwrites H after the first `dormtr`; the
     reflectors, copied aside, return for the second, so H ends holding them
@@ -184,7 +177,7 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     eigenvalues, e, tau = np.empty(dim), np.empty(dim - 1), np.empty(dim - 1)
     _check_info(lib.sytrd(H, eigenvalues, e, tau), "dsytrd", dim)
     state = np.array([amplitudes.real, amplitudes.imag], dtype=np.float64)
-    with blas.serial_blas():
+    with blas.one_blas_thread():
         _check_info(lib.ormtr(b"T", H, tau, state), "dormtr", dim)
     # dormtr reads reflector i from row i of H's buffer, column i + 2 on, only
     reflectors = [H[i, i + 2:] for i in range(dim - 2)]
@@ -195,7 +188,7 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     product = _phased(eigenvalues, re + 1j * im, times).T @ H
     for row, copy in zip(reflectors, saved):
         row[...] = copy
-    with blas.serial_blas():
+    with blas.one_blas_thread():
         _check_info(lib.ormtr(b"N", H, tau, product), "dormtr", dim)
     return _complex_rows(product)
 

@@ -114,7 +114,8 @@ class ExperimentConfig:
         # - 2.7 dense Hamiltonians of the largest sector unless the run is a
         #   Slater one: H, overwritten by T's eigenvectors, half of it in
         #   copied reflectors and dstedc's D^2 workspace (ru_maxrss of a child,
-        #   N=14 Néel, D=3432: 2.62; below 462 states dsyevd's 3.2, < 6 MB);
+        #   N=14 Néel, D=3432: 2.62; below 462 states numpy's eigh takes
+        #   6.2-6.7 at D=252-455, < 10 MB, and is left uncounted);
         # - in local mode, the amplitudes, their concatenation if they span
         #   several sectors, the gather buffer, one window's matrices and their
         #   Gram, 3 * 16 n_times 4^w, 16 D bytes of cached plan per window and

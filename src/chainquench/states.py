@@ -31,6 +31,17 @@ class BlockState:
         # C order keeps each time's amplitudes contiguous, so every reduction
         # over a block runs exactly as it would on that time's state alone
         blocks = tuple((sector, np.ascontiguousarray(amps)) for sector, amps in self.blocks)
+        counts = [sector.n_particles for sector, _ in blocks]
+        if len(set(counts)) != len(counts):
+            raise ValueError(f"one block per particle count, got counts {counts}")
+        for sector, amps in blocks:
+            if sector.n_sites != self.n_sites:
+                raise ValueError(f"a {sector.n_sites}-site sector in a {self.n_sites}-site state")
+            if amps.shape[-1:] != (sector.dim,):
+                raise ValueError(f"{sector.n_particles}-particle block: amplitudes shaped "
+                                 f"{amps.shape} for {sector.dim} states")
+        if len({amps.shape[:-1] for _, amps in blocks}) > 1:
+            raise ValueError(f"blocks of different leading shapes {[a.shape for _, a in blocks]}")
         object.__setattr__(self, "blocks", blocks)
 
     @property

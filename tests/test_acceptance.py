@@ -195,7 +195,7 @@ def test_criterion_05_conservation_suite():
         e0_total = 0.0
         for sector, amps in blocks:
             H = build_hamiltonian(params, eps, sector)
-            spec = decompose(H.copy())
+            spec = decompose(H)
             h_norm = max(h_norm, float(np.max(np.abs(spec.eigenvalues))) or 1.0)
             e0_total += float(np.real(amps.conj() @ H @ amps))
             series.append((H, evolve_series(spec, amps, grid.times)))

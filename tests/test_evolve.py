@@ -23,7 +23,7 @@ def test_decompose_pauli_x():
 
 def test_decompose_diagonal():
     diag = np.diag([3.0, -1.0, 2.0, 0.0, 5.0, -4.0])
-    spec = decompose(diag.copy())
+    spec = decompose(diag)
     np.testing.assert_allclose(spec.eigenvalues, np.sort(np.diagonal(diag)), atol=1e-14)
     # eigenvectors of a diagonal matrix are one-hot up to order and sign
     assert np.all(np.isclose(np.abs(spec.eigenvectors), 0.0) | np.isclose(np.abs(spec.eigenvectors), 1.0))
@@ -33,7 +33,7 @@ def test_decompose_reconstructs():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 6))
     m = m + m.T
-    spec = decompose(m.copy())
+    spec = decompose(m)
     V = spec.eigenvectors
     np.testing.assert_allclose(V @ np.diag(spec.eigenvalues) @ V.conj().T, m, atol=1e-10)
     np.testing.assert_allclose(V.conj().T @ V, np.eye(6), atol=1e-10)
@@ -64,7 +64,7 @@ def test_energy_and_norm_conserved():
     sector = enumerate_sector(8, 4)
     params = ChainParams(n_sites=8, J=1.0, W=5.0, g=1.0)
     H = build_hamiltonian(params, sample_disorder(8, 77), sector)
-    spec = decompose(H.copy())
+    spec = decompose(H)
     amps0 = random_pure_state(rng, sector.dim)
     e0 = np.real(amps0.conj() @ H @ amps0)
     scale = np.linalg.norm(H, 2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chainquench.hilbert import enumerate_sector
 from chainquench.quantifiers import global_quantifiers
 from chainquench.states import BlockState, max_coherent, max_incoherent, neel, w_state
 
@@ -87,3 +88,28 @@ def test_from_dense_roundtrip():
 def test_from_dense_rejects_bad_length():
     with pytest.raises(ValueError):
         BlockState.from_dense(np.ones(7), 3)
+
+
+
+def _block(n_sites, n_particles, shape=None):
+    """A block of the (n_sites, n_particles) sector with uniform amplitudes,
+    shaped (dim,) unless `shape` is given."""
+    sector = enumerate_sector(n_sites, n_particles)
+    return sector, np.full(shape or sector.dim, sector.dim**-0.5, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "n_sites,blocks,match",
+    [
+        (4, lambda: (_block(4, 2), _block(4, 2)), "one block per particle count"),
+        (4, lambda: (_block(4, 2, shape=3),), "amplitudes shaped"),
+        (4, lambda: (_block(5, 2),), "5-site sector in a 4-site state"),
+        (3, lambda: (_block(3, 1, shape=(2, 3)), _block(3, 2)), "different leading shapes"),
+    ],
+    ids=["repeated-count", "short-amplitudes", "other-chain", "leading-shapes"],
+)
+def test_block_state_rejects_inconsistent_blocks(n_sites, blocks, match):
+    # before, a repeated N=4, k=2 block gave C=0.733 and 3 amplitudes in the
+    # 6-state sector a global triple, without an error
+    with pytest.raises(ValueError, match=match):
+        BlockState(n_sites=n_sites, blocks=blocks())

@@ -2,16 +2,16 @@
 
 Builds Anderson and interacting disordered-chain Hamiltonians in
 particle-number sectors, evolves initial states exactly through
-eigendecomposition (of the one-particle Hamiltonian alone for a
-non-interacting basis state), tracks l1-norm coherence / predictability /
-entanglement triples, and classifies late-time trajectories as saturated
-or logarithmically drifting.
+eigendecomposition (`propagate` for a dense sector, `evolve.slater_series`
+from the one-particle Hamiltonian alone for a non-interacting basis state),
+tracks l1-norm coherence / predictability / entanglement triples, and
+classifies late-time trajectories as saturated or logarithmically drifting.
 """
 
 __version__ = "0.1.0"
 
 from .detect import FitResult, FitWindow, fit_log, last_decade
-from .evolve import SpectralDecomposition, TimeGrid, decompose, evolve_series, propagate
+from .evolve import TimeGrid, propagate
 from .experiment import (
     ExperimentConfig,
     TrajectoryRecord,
@@ -41,15 +41,12 @@ __all__ = [
     "FitWindow",
     "QuantifierTriple",
     "Sector",
-    "SpectralDecomposition",
     "TimeGrid",
     "TrajectoryRecord",
     "build_hamiltonian",
     "coherence_l1",
-    "decompose",
     "enumerate_sector",
     "entanglement_l1",
-    "evolve_series",
     "fit_log",
     "full_space",
     "global_quantifiers",

@@ -7,20 +7,20 @@ and the back-transform `dormtr`, which `evolve.propagate` applies to the
 propagated columns only. Smaller sectors go through numpy's `eigh`. ctypes
 releases the GIL for each call, so workers diagonalize in parallel.
 OpenBLAS starts its own threads inside every call, so a worker pool on top
-of them oversubscribes the cores. `one_blas_thread` pins OpenBLAS to one
-thread while a pool runs. Outside a pool, `blas_threads_for` runs the
-eigendecomposition and propagation products of a matrix below
-`ONE_THREAD_BELOW` rows on one thread, where a second thread saves little
-time and spins for the rest, and `one_blas_thread` does the same for thin
-`dormtr` calls at any dimension. The thread count changes the bits LAPACK
-returns for large enough matrices, so a run records the count its sectors
-at or above that dimension computed under.
+of them oversubscribes the cores; `one_blas_thread` pins OpenBLAS to one
+thread while a pool runs. The thread rule outside a pool: the eigenvector
+path, below `ONE_THREAD_BELOW` states or on a Slater run's N x N
+one-particle matrix, runs on one OpenBLAS thread, where a second thread
+saves little time and spins for the rest, and the tridiagonal path keeps
+the library's count except for its thin `dormtr` calls. The thread count
+changes the bits LAPACK returns for large enough matrices, so a run records
+the count its sectors at or above that dimension computed under.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -145,8 +145,3 @@ def one_blas_thread() -> Iterator[int | None]:
         yield 1
     finally:
         lib.set_num_threads(previous)
-
-
-def blas_threads_for(dim: int) -> AbstractContextManager[int | None]:
-    """`one_blas_thread` for a matrix of dimension below `ONE_THREAD_BELOW`, else nothing."""
-    return one_blas_thread() if dim < ONE_THREAD_BELOW else nullcontext()

@@ -80,6 +80,9 @@ def fit_log(
         raise ValueError(
             f"window [{window.t_low}, {window.t_high}] contains {m} grid points, need >= 5"
         )
+    earliest = float(times[inside].min())
+    if earliest <= 0:
+        raise ValueError(f"fit window holds t = {earliest}, but log(t) needs t > 0")
     x = -np.log(times[inside])
     y = values[inside]
     if not np.all(np.isfinite(y)):

@@ -1,23 +1,23 @@
 """Exact unitary evolution from Hermitian eigendecompositions.
 
-One decomposition serves the whole time grid: the propagator at any t is
-V exp(-i lambda t) V^dagger, with no step-error accumulation at long times.
+One eigendecomposition serves the whole time grid: the propagator at any t
+is V exp(-i lambda t) V^dagger, with no step-error accumulation at long
+times. There are two evolution functions, and each runs its own eigensolve.
 `propagate` evolves a state under a many-body sector's dense Hamiltonian
 and picks its method by the sector's dimension: below
-`blas.ONE_THREAD_BELOW` states it is `evolve_series(decompose(H), ...)`,
-which applies the full eigendecomposition; at or above it, V is never
-formed, and the Householder reflectors of H's tridiagonal reduction go onto
-the 2 n_times propagated columns instead of onto a D x D eigenvector
-matrix. `slater_series` needs only the N x N one-particle decomposition:
-without interaction (g = 0) a basis state stays a Slater determinant, and
-its amplitudes are minors of the one-particle propagator. All return
+`blas.ONE_THREAD_BELOW` states it applies numpy's `eigh` eigenvectors,
+leaving H as it was; at or above it, V is never formed, and the Householder
+reflectors of H's tridiagonal reduction go onto the 2 n_times propagated
+columns instead of onto a D x D eigenvector matrix, over H's own buffer.
+`slater_series` needs only the N x N one-particle Hamiltonian h: without
+interaction (g = 0) a basis state stays a Slater determinant, and its
+amplitudes are minors of the one-particle propagator. Both return
 time-major (n_times, dim) amplitudes over a `TimeGrid`'s times. The sector
 Hamiltonians are real symmetric, so their eigenvectors are real, and the
 real and imaginary parts of a state propagate through real products: no
-complex copy of a D x D matrix is made. `decompose` leaves H as it was;
-`propagate` may overwrite it, at or above that dimension with T's
-eigenvectors and then the reflectors. The BLAS calls of a sector below
-`blas.ONE_THREAD_BELOW` states run on one OpenBLAS thread.
+complex copy of a D x D matrix is made. The eigenvector path runs on one
+OpenBLAS thread; the tridiagonal path keeps the library's count except for
+`dormtr`.
 """
 
 from __future__ import annotations
@@ -29,18 +29,6 @@ import numpy as np
 
 from . import blas
 from .hilbert import Sector, enumerate_sector
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Ascending eigenvalues and the unitary of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -94,41 +82,12 @@ def _square_dim(H: np.ndarray, caller: str) -> int:
     return shape[0]
 
 
-def decompose(H: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a dense real symmetric sector Hamiltonian.
-
-    numpy's `eigh`, on one OpenBLAS thread below `blas.ONE_THREAD_BELOW`
-    states; H is left as it was.
-    """
-    dim = _square_dim(H, "decompose")
-    with blas.blas_threads_for(dim):
-        try:
-            return SpectralDecomposition(*np.linalg.eigh(H))
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"eigendecomposition failed for dim={dim} matrix: {exc}")
-
-
-def evolve_series(
-    spec: SpectralDecomposition, amplitudes: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Amplitudes at every grid time, as a time-major (n_times, dim) array.
-
-    The eigenvectors must be real, as those of a real symmetric H are, so
-    every product runs in real arithmetic on the real and imaginary parts.
-    """
-    if len(amplitudes) != spec.dim:
-        raise ValueError(f"state has dim {len(amplitudes)}, decomposition {spec.dim}")
-    V = spec.eigenvectors
-    if np.iscomplexobj(V):
-        raise ValueError("evolve_series needs real eigenvectors, of a real symmetric matrix")
-    amplitudes = np.asarray(amplitudes)
-    with blas.blas_threads_for(spec.dim):
-        # dim-major phases: this operand order fixes the CSV bits. Time-major
-        # ones, V @ phases, move them by up to 4e-15 at D=252 and run no
-        # faster (one thread, 61 times); V's memory order changes neither
-        re, im = np.stack([amplitudes.real, amplitudes.imag], axis=1).T @ V
-        product = _phased(spec.eigenvalues, re + 1j * im, times).T @ V.T
-    return _complex_rows(product)
+def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's eigh of H, whose failure message names H's dimension."""
+    try:
+        return np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"eigendecomposition failed for dim={len(H)} matrix: {exc}")
 
 
 def _phased(eigenvalues: np.ndarray, coefficients: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -151,29 +110,35 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     """A sector's amplitudes at every grid time, time-major (n_times, dim); may overwrite H.
 
     Below `blas.ONE_THREAD_BELOW` states, or when no OpenBLAS is found, this
-    is `evolve_series(decompose(H), amplitudes, times)`, bit for bit, and H
-    is left as it was. At or above it the eigenvectors V = Q Z are never
-    formed: LAPACK reduces H in place to the tridiagonal T = Q^T H Q
-    (`dsytrd`) and diagonalizes T = Z diag(lambda) Z^T (`dstedc`), and Q's
-    Householder reflectors go onto the 2 real columns of the state and the
-    2 n_times real columns of
-    psi(t) = Q Z exp(-i lambda t) Z^T Q^T psi0 (`dormtr`). That skips the
-    2 D^3 product Q Z. Z overwrites H after the first `dormtr`; the
-    reflectors, copied aside, return for the second, so H ends holding them
-    over the rest of Z. The call holds H, their copy (half of H) and
-    `dstedc`'s D^2 workspace. `dsytrd`, `dstedc` and the products keep the
-    library's thread count, as every sector of that size does; `dormtr` runs
-    on one OpenBLAS thread, where a second one costs time on such thin
-    blocks. H is copied first unless it is writeable C-contiguous float64.
+    applies the eigenvectors V of numpy's `eigh`, on one OpenBLAS thread,
+    and leaves H as it was. At or above it V = Q Z is never formed: LAPACK
+    reduces H in place to the tridiagonal T = Q^T H Q (`dsytrd`) and
+    diagonalizes T = Z diag(lambda) Z^T (`dstedc`), and Q's Householder
+    reflectors go onto the 2 real columns of the state and the 2 n_times
+    real columns of psi(t) = Q Z exp(-i lambda t) Z^T Q^T psi0 (`dormtr`).
+    That skips the 2 D^3 product Q Z. Z overwrites H after the first
+    `dormtr`; the reflectors, copied aside, return for the second, so H ends
+    holding them over the rest of Z. The call holds H, their copy (half of
+    H) and `dstedc`'s D^2 workspace. `dsytrd`, `dstedc` and the products keep
+    the library's thread count; `dormtr` runs on one OpenBLAS thread, where
+    a second one costs time on such thin blocks. H is copied first unless it
+    is writeable C-contiguous float64.
     """
     dim = _square_dim(H, "propagate")
     if len(amplitudes) != dim:
         raise ValueError(f"state has dim {len(amplitudes)}, matrix {dim}")
+    amplitudes = np.asarray(amplitudes)
     lib = blas.openblas()
     if lib is None or dim < blas.ONE_THREAD_BELOW:
-        return evolve_series(decompose(H), amplitudes, times)
+        with blas.one_blas_thread():
+            eigenvalues, V = _eigh(H)
+            # dim-major phases: this operand order fixes the CSV bits. Time-major
+            # ones, V @ phases, move them by up to 4e-15 at D=252 and run no
+            # faster (one thread, 61 times); V's memory order changes neither
+            re, im = np.stack([amplitudes.real, amplitudes.imag], axis=1).T @ V
+            product = _phased(eigenvalues, re + 1j * im, times).T @ V.T
+        return _complex_rows(product)
     H = np.require(H, np.float64, ["C", "W"])
-    amplitudes = np.asarray(amplitudes)
     eigenvalues, e, tau = np.empty(dim), np.empty(dim - 1), np.empty(dim - 1)
     _check_info(lib.sytrd(H, eigenvalues, e, tau), "dsytrd", dim)
     state = np.array([amplitudes.real, amplitudes.imag], dtype=np.float64)
@@ -212,28 +177,28 @@ def _laplace_tables(n_sites: int, j: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return sites, rest, sign
 
 
-def slater_series(
-    spec1: SpectralDecomposition, sector: Sector, x0: int, times: np.ndarray
-) -> np.ndarray:
+def slater_series(h: np.ndarray, sector: Sector, x0: int, times: np.ndarray) -> np.ndarray:
     """Non-interacting evolution of basis state x0, as time-major (n_times, dim) amplitudes.
 
-    `spec1` decomposes the one-particle Hamiltonian h, the N x N matrix of the
-    one-particle sector in site order. The amplitude on basis state x of
+    `h` is the one-particle Hamiltonian, the real symmetric N x N matrix of
+    the one-particle sector in site order. The amplitude on basis state x of
     `sector` is det A(t)[sites(x), :], where A(t) = U(t)[:, sites(x0)] holds
     the occupied columns of U(t) = exp(-i h t) (Peschel, J. Phys. A 36, L205,
     2003). The minors are built by Laplace expansion, one particle count at a
     time, so the cost is sum_j j C(N, j) per time instead of a dim^3
-    decomposition.
+    decomposition. h's `eigh` and the product into A run on one OpenBLAS
+    thread.
     """
     n = sector.n_sites
-    if spec1.dim != n:
-        raise ValueError(f"one-particle decomposition has dim {spec1.dim}, chain has {n} sites")
+    if _square_dim(h, "slater_series") != n:
+        raise ValueError(f"one-particle Hamiltonian has shape {np.shape(h)}, chain has {n} sites")
     occupied = np.flatnonzero((int(x0) >> np.arange(n)) & 1)
     if len(occupied) != sector.n_particles:
         raise ValueError(f"state {int(x0):#b} is not in the {sector.n_particles}-particle sector")
-    V = spec1.eigenvectors
-    phases = np.exp(np.outer(np.asarray(times), spec1.eigenvalues) * (-1j))
-    A = (V * phases[:, None, :]) @ V[occupied].conj().T  # (n_times, N, k)
+    with blas.one_blas_thread():
+        eigenvalues, V = _eigh(h)
+        phases = np.exp(np.outer(np.asarray(times), eigenvalues) * (-1j))
+        A = (V * phases[:, None, :]) @ V[occupied].T  # (n_times, N, k)
     minors = np.ones((len(phases), 1), dtype=complex)  # the one 0-particle minor
     for j in range(1, sector.n_particles + 1):
         sites, rest, sign = _laplace_tables(n, j)

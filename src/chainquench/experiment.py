@@ -1,22 +1,21 @@
 """Disorder-averaged quench protocol.
 
-For each realization: draw on-site energies, build and diagonalize a
-Hamiltonian, evolve the chosen initial state over the time grid into
-time-major (n_times, dim) blocks, and evaluate the quantifier triple at
-every time. Without interaction (g = 0) a basis state (`neel`,
-`max_incoherent`) evolves as a Slater determinant, from the N x N
-one-particle Hamiltonian; every other run hands the dense Hamiltonian of
+For each realization: draw on-site energies, build a Hamiltonian, evolve
+the chosen initial state over the time grid into time-major (n_times, dim)
+blocks, and evaluate the quantifier triple at every time. Without
+interaction (g = 0) a basis state (`neel`, `max_incoherent`) evolves as a
+Slater determinant: `evolve.slater_series` diagonalizes the N x N
+one-particle Hamiltonian. Every other run hands the dense Hamiltonian of
 each sector the state occupies to `evolve.propagate`, which diagonalizes it
 through its eigenvectors below `blas.ONE_THREAD_BELOW` (462) states and
 through its tridiagonal form at or above. Realizations are independent and
 may run on worker threads; aggregation always folds them in
 realization-index order. A worker pool pins OpenBLAS to one thread, so runs
 with two or more workers are bit-identical to each other. A serial run
-keeps the library's default BLAS threads only for the eigendecomposition and
-propagation of sectors of 462 states or more, apart from their thin
-back-transforms, and runs smaller sectors on one thread. So a serial run
-whose sectors all lie below that dimension is bit-identical to a pooled
-run; otherwise its results can differ from one in the last digits.
+follows the thread rule of `blas`: the eigenvector path runs on one thread,
+and the tridiagonal path keeps the library's count except for `dormtr`. So
+a serial run whose sectors all lie below 462 states is bit-identical to a
+pooled run; otherwise its results can differ from one in the last digits.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blas import blas_threads, one_blas_thread
-from .evolve import TimeGrid, decompose, propagate, slater_series
+from .evolve import TimeGrid, propagate, slater_series
 from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from .hilbert import enumerate_sector
 from .quantifiers import global_quantifiers, local_quantifiers
@@ -184,9 +183,8 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
     if _slater(config):
         ((sector, amps),) = psi0.blocks
         ((m,),) = np.nonzero(amps)
-        one_particle = enumerate_sector(config.chain.n_sites, 1)
-        spec1 = decompose(build_hamiltonian(config.chain, eps, one_particle))
-        blocks = [(sector, amps[m] * slater_series(spec1, sector, sector.states[m], times))]
+        h = build_hamiltonian(config.chain, eps, enumerate_sector(config.chain.n_sites, 1))
+        blocks = [(sector, amps[m] * slater_series(h, sector, sector.states[m], times))]
     else:
         # no name holds a Hamiltonian, so each is freed once its sector is
         # propagated, the last one before the quantifiers run

@@ -9,7 +9,7 @@ import pytest
 
 from chainquench import blas
 from chainquench.blas import ONE_THREAD_BELOW, OpenBLAS, blas_threads, one_blas_thread, openblas
-from chainquench.evolve import TimeGrid, decompose, evolve_series, propagate
+from chainquench.evolve import TimeGrid, propagate, slater_series
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
 
@@ -51,13 +51,11 @@ def counting(monkeypatch):
     return fake
 
 
-def _spectrum(dim):
-    return decompose(np.diag(np.arange(dim, dtype=float)))
-
-
 @needs_openblas
 @pytest.mark.parametrize("dim", [ONE_THREAD_BELOW - 1, ONE_THREAD_BELOW])
 def test_decompose_runs_eigh_on_one_thread_below_the_dimension(two_blas_threads, monkeypatch, dim):
+    # propagate decomposes H with numpy's eigh below the dimension, and with
+    # dsytrd and dstedc from it on
     seen = []
     eigh = np.linalg.eigh
 
@@ -66,33 +64,45 @@ def test_decompose_runs_eigh_on_one_thread_below_the_dimension(two_blas_threads,
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    _spectrum(dim)
-    assert seen == [1 if dim < ONE_THREAD_BELOW else 2]
+    propagate(np.diag(np.arange(dim, dtype=float)), np.eye(dim)[0], TimeGrid(0.1, 10.0, 5).times)
+    assert seen == ([1] if dim < ONE_THREAD_BELOW else [])
     assert blas_threads() == 2
 
 
 @needs_openblas
 def test_thread_count_restored_when_decompose_raises(two_blas_threads):
-    with pytest.raises(np.linalg.LinAlgError, match="eigendecomposition failed"):
-        decompose(np.full((4, 4), np.nan))
+    with pytest.raises(np.linalg.LinAlgError, match="eigendecomposition failed for dim=4 matrix"):
+        propagate(np.full((4, 4), np.nan), np.eye(4)[0], TimeGrid(0.1, 10.0, 5).times)
     assert blas_threads() == 2
 
 
-def test_rule_lowers_the_count_only_below_the_dimension(counting):
+def test_rule_lowers_the_count_only_below_the_dimension(counting, monkeypatch):
+    # one eigh and its products run inside a single one-thread block, so a
+    # call sets the count and restores it once; at the dimension no eigh
+    # runs (test_propagate_runs_dormtr_on_one_thread)
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(a):
+        seen.append(counting.threads)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
     times = TimeGrid(0.1, 10.0, 5).times
-    for dim, sets in ((4, [1, 2]), (ONE_THREAD_BELOW, [])):
-        spec = _spectrum(dim)
-        assert counting.sets == sets
-        counting.sets.clear()
-        evolve_series(spec, np.eye(dim)[0], times)
-        assert counting.sets == sets
-        counting.sets.clear()
+    dim = ONE_THREAD_BELOW - 1
+    propagate(np.diag(np.arange(dim, dtype=float)), np.eye(dim)[0], times)
+    assert seen == [1] and counting.sets == [1, 2]
+    # h is at most 63 x 63: a Slater run's eigh and product run on one thread too
+    slater_series(_hamiltonian(4, 1), enumerate_sector(4, 2), 0b0011, times)
+    assert seen == [1, 1] and counting.sets == [1, 2, 1, 2]
 
 
 def test_rule_sets_nothing_under_one_blas_thread(counting):
+    times = TimeGrid(0.1, 10.0, 5).times
     with one_blas_thread():
         counting.sets.clear()
-        evolve_series(_spectrum(4), np.eye(4)[0], TimeGrid(0.1, 10.0, 5).times)
+        propagate(np.diag(np.arange(4, dtype=float)), np.eye(4)[0], times)
+        slater_series(_hamiltonian(4, 1), enumerate_sector(4, 2), 0b0011, times)
         assert counting.sets == []
     assert counting.sets == [2]
 
@@ -101,54 +111,6 @@ def _hamiltonian(n_sites, n_particles=3):
     params = ChainParams(n_sites=n_sites, J=1.0, W=2.0, g=1.0)
     sector = enumerate_sector(n_sites, n_particles)
     return build_hamiltonian(params, sample_disorder(n_sites, 3), sector)
-
-
-@needs_openblas
-@pytest.mark.parametrize("sector", [(10, 3), (12, 6)])  # D = 120 and 924
-@pytest.mark.parametrize("threads", [1, 2])
-def test_decompose_matches_numpy_eigh_bit_for_bit(sector, threads):
-    lib = openblas()
-    previous = lib.get_num_threads()
-    lib.set_num_threads(threads)
-    try:
-        H = _hamiltonian(*sector)
-        with blas.blas_threads_for(len(H)):  # the rule decompose keeps
-            eigenvalues, eigenvectors = np.linalg.eigh(H)
-        spec = decompose(H)
-    finally:
-        lib.set_num_threads(previous)
-    np.testing.assert_array_equal(spec.eigenvalues, eigenvalues)
-    np.testing.assert_array_equal(spec.eigenvectors, eigenvectors)
-
-
-def test_decompose_leaves_h_untouched():
-    H = _hamiltonian(8)
-    expected = np.linalg.eigh(H)
-    frozen = H.copy()
-    frozen.setflags(write=False)
-    for kept in (H, H.T.copy(order="F"), frozen):
-        before = kept.copy()
-        spec = decompose(kept)
-        np.testing.assert_array_equal(kept, before)
-        assert not np.shares_memory(spec.eigenvectors, kept)
-        np.testing.assert_array_equal(spec.eigenvalues, expected.eigenvalues)
-    with pytest.raises(ValueError, match="square"):
-        decompose(np.zeros((3, 4)))
-    with pytest.raises(ValueError, match="real"):
-        decompose(np.eye(3, dtype=complex))
-
-
-def test_decompose_falls_back_to_numpy_eigh_without_openblas(monkeypatch):
-    monkeypatch.setattr(blas, "openblas", lambda: None)
-    H = _hamiltonian(8)
-    kept = H.copy()
-    spec = decompose(H)
-    np.testing.assert_array_equal(H, kept)  # numpy's eigh leaves H as it was
-    eigenvalues, eigenvectors = np.linalg.eigh(kept)
-    np.testing.assert_array_equal(spec.eigenvalues, eigenvalues)
-    np.testing.assert_array_equal(spec.eigenvectors, eigenvectors)
-    with pytest.raises(np.linalg.LinAlgError):
-        decompose(np.full((4, 4), np.nan))
 
 
 @pytest.fixture(params=[1, 2], ids=["1-thread", "2-threads"])
@@ -179,27 +141,65 @@ _TIMES = TimeGrid().times
 @needs_openblas
 @pytest.mark.parametrize("sector", [(11, 5), (12, 6)], ids=["D462", "D924"])  # at D*, and above
 @pytest.mark.parametrize("state", ["neel", "random"])
-def test_propagate_matches_the_eigenvector_path(blas_count, sector, state):
+def test_propagate_matches_the_eigenvector_path(blas_count, monkeypatch, sector, state):
     H = _hamiltonian(*sector)
     amps = _states(enumerate_sector(*sector))[state]
-    expected = evolve_series(decompose(H), amps, _TIMES)
+    with monkeypatch.context() as patched:
+        # numpy's eigh at the library's count, which leaves H as it was
+        patched.setattr(blas, "openblas", lambda: None)
+        expected = propagate(H, amps, _TIMES)
     series = propagate(H, amps, _TIMES)
     assert series.shape == (len(_TIMES), len(H))
     np.testing.assert_allclose(series, expected, rtol=0, atol=1e-12)
     assert blas_threads() == blas_count
 
 
-def test_propagate_below_the_crossover_is_the_eigenvector_path_bit_for_bit(monkeypatch):
+def _eigenvector_path(H, amps, times):
+    """The eigenvector path's arithmetic, written out: the coefficients' real
+    and imaginary parts from one product with V, then the dim-major phases'
+    real columns beside their imaginary ones, transposed, times V^T."""
+    eigenvalues, V = np.linalg.eigh(H)
+    re, im = np.stack([amps.real, amps.imag], axis=1).T @ V
+    phases = np.exp(np.outer(eigenvalues, times) * (-1j)) * (re + 1j * im)[:, None]
+    product = np.concatenate([phases.real, phases.imag], axis=1).T @ V.T
+    return product[:len(times)] + 1j * product[len(times):]
+
+
+def test_propagate_below_the_crossover_is_the_eigenvector_path_bit_for_bit():
     H = _hamiltonian(10, 5)  # D = 252
     for amps in _states(enumerate_sector(10, 5)).values():
-        expected = evolve_series(decompose(H), amps, _TIMES)
-        np.testing.assert_array_equal(propagate(H.copy(), amps, _TIMES), expected)
-    # so is every dimension without OpenBLAS, where numpy's eigh runs
+        with one_blas_thread():
+            expected = _eigenvector_path(H, amps, _TIMES)
+        np.testing.assert_array_equal(propagate(H, amps, _TIMES), expected)
+
+
+def test_decompose_leaves_h_untouched():
+    # below the dimension propagate's eigh only reads H, whatever its order
+    H = _hamiltonian(8)
+    amps = _states(enumerate_sector(8, 3))["random"]
+    expected = propagate(H.copy(), amps, _TIMES)
+    frozen = H.copy()
+    frozen.setflags(write=False)
+    for kept in (H, H.T.copy(order="F"), frozen):
+        before = kept.copy()
+        np.testing.assert_array_equal(propagate(kept, amps, _TIMES), expected)
+        np.testing.assert_array_equal(kept, before)
+    with pytest.raises(ValueError, match="propagate needs a square"):
+        propagate(np.zeros((3, 4)), amps[:3], _TIMES)
+    with pytest.raises(ValueError, match="propagate needs a real"):
+        propagate(np.eye(3, dtype=complex), amps[:3], _TIMES)
+
+
+def test_decompose_falls_back_to_numpy_eigh_without_openblas(monkeypatch):
+    # so is every dimension without OpenBLAS, where numpy's eigh runs and H is left as it was
     monkeypatch.setattr(blas, "openblas", lambda: None)
     H = _hamiltonian(11, 5)  # D = 462
+    kept = H.copy()
     amps = _states(enumerate_sector(11, 5))["random"]
-    expected = evolve_series(decompose(H), amps, _TIMES)
-    np.testing.assert_array_equal(propagate(H, amps, _TIMES), expected)
+    np.testing.assert_array_equal(propagate(H, amps, _TIMES), _eigenvector_path(kept, amps, _TIMES))
+    np.testing.assert_array_equal(H, kept)
+    with pytest.raises(np.linalg.LinAlgError, match="eigendecomposition failed for dim=4 matrix"):
+        propagate(np.full((4, 4), np.nan), np.eye(4)[0], _TIMES)
 
 
 def _recording(lib, fake, seen):

@@ -388,7 +388,7 @@ def test_fit_missing_column(tmp_path):
     assert main(["fit", str(path), "--quantity", "P"]) == 2
 
 
-def test_fit_rejects_nan_trajectory(tmp_path, capsys):
+def test_fit_rejects_nan_trajectory(tmp_path, capfd):
     # every value cell NaN, as a run whose numerics broke down would write it
     path = tmp_path / "nan.csv"
     with open(path, "w", newline="") as fh:
@@ -397,10 +397,17 @@ def test_fit_rejects_nan_trajectory(tmp_path, capsys):
         for t in np.logspace(-1, 3, 61):
             writer.writerow([repr(float(t))] + ["nan"] * 6)
     assert main(["fit", str(path), "--quantity", "P"]) == 2
-    assert capsys.readouterr().out == ""
+    assert capfd.readouterr().out == ""
     # NaN times leave no fit window: still bad input
     _write_synthetic_csv(path, np.full(61, np.nan), np.full(61, 0.5))
     assert main(["fit", str(path), "--quantity", "P"]) == 2
+    # so is a window that holds t = 0, rejected before LAPACK sees log(0)
+    times = np.concatenate([[0.0], np.logspace(-1, 3, 60)])
+    _write_synthetic_csv(path, times, 0.7 - 0.03 * np.log(np.maximum(times, 0.1)))
+    capfd.readouterr()
+    assert main(["fit", str(path), "--quantity", "P", "--window-low", "0"]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == "" and "DLASCL" not in captured.err
 
 
 def test_fit_on_generated_localized_run(tmp_path, capsys):

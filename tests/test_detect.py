@@ -89,6 +89,12 @@ def test_non_finite_data_in_window_rejected():
     y[-1] = 0.5
     y[0] = np.nan
     assert fit_log(_Traj(times, y), "P", last_decade(times)).label == "Saturated"
+    # nor may a time at or below 0, where log(t) is undefined
+    zero_start = np.concatenate([[0.0], times])
+    with pytest.raises(ValueError, match="log"):
+        fit_log(_Traj(zero_start, np.full_like(zero_start, 0.5)), "P", FitWindow(0.0, 1000.0))
+    with pytest.raises(ValueError, match="log"):
+        fit_log(_Traj(zero_start - 1.0, np.full_like(zero_start, 0.5)), "P", FitWindow(-1.0, 999.0))
 
 
 def test_window_validation():

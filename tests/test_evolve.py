@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chainquench.evolve import (
-    SpectralDecomposition,
-    TimeGrid,
-    decompose,
-    evolve_series,
-    slater_series,
-)
+from chainquench.evolve import TimeGrid, propagate, slater_series
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector, full_space
 from chainquench.states import BlockState, max_coherent, neel
@@ -17,43 +11,30 @@ from _oracles import dense_amplitudes, dense_hamiltonian, random_pure_state
 
 
 def test_decompose_pauli_x():
-    spec = decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-14)
-
-
-def test_decompose_diagonal():
-    diag = np.diag([3.0, -1.0, 2.0, 0.0, 5.0, -4.0])
-    spec = decompose(diag)
-    np.testing.assert_allclose(spec.eigenvalues, np.sort(np.diagonal(diag)), atol=1e-14)
-    # eigenvectors of a diagonal matrix are one-hot up to order and sign
-    assert np.all(np.isclose(np.abs(spec.eigenvectors), 0.0) | np.isclose(np.abs(spec.eigenvectors), 1.0))
-
-
-def test_decompose_reconstructs():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((6, 6))
-    m = m + m.T
-    spec = decompose(m)
-    V = spec.eigenvectors
-    np.testing.assert_allclose(V @ np.diag(spec.eigenvalues) @ V.conj().T, m, atol=1e-10)
-    np.testing.assert_allclose(V.conj().T @ V, np.eye(6), atol=1e-10)
+    # Pauli X's eigenvectors (1, +-1)/sqrt(2) only gain the phases of its eigenvalues +-1
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    times = np.array([0.5, 2.0, 9.0])
+    for eigenvalue in (1.0, -1.0):
+        v = np.array([1.0, eigenvalue]) / np.sqrt(2.0)
+        expected = np.exp(-1j * eigenvalue * times)[:, None] * v
+        np.testing.assert_allclose(propagate(x, v, times), expected, rtol=0, atol=1e-14)
 
 
 def test_evolve_at_zero_is_identity():
     rng = np.random.default_rng(8)
     sector = enumerate_sector(6, 3)
     params = ChainParams(n_sites=6, J=1.0, W=3.0, g=1.0)
-    spec = decompose(build_hamiltonian(params, sample_disorder(6, 2), sector))
+    H = build_hamiltonian(params, sample_disorder(6, 2), sector)
     amps0 = random_pure_state(rng, sector.dim)
-    np.testing.assert_allclose(evolve_series(spec, amps0, [0.0])[0], amps0, atol=1e-12)
+    np.testing.assert_allclose(propagate(H, amps0, [0.0])[0], amps0, atol=1e-12)
 
 
 def test_two_site_rabi_amplitudes():
     sector = enumerate_sector(2, 1)
     params = ChainParams(n_sites=2, J=1.0, W=0.0, g=0.0)
-    spec = decompose(build_hamiltonian(params, sample_disorder(2, 0), sector))
+    H = build_hamiltonian(params, sample_disorder(2, 0), sector)
     times = np.linspace(0.0, 12.0, 50)
-    series = evolve_series(spec, np.array([1.0 + 0.0j, 0.0]), times)
+    series = propagate(H, np.array([1.0 + 0.0j, 0.0]), times)
     for j, t in enumerate(times):
         np.testing.assert_allclose(series[j, 0], np.cos(t), atol=1e-12)
         np.testing.assert_allclose(series[j, 1], -1j * np.sin(t), atol=1e-12)
@@ -64,11 +45,10 @@ def test_energy_and_norm_conserved():
     sector = enumerate_sector(8, 4)
     params = ChainParams(n_sites=8, J=1.0, W=5.0, g=1.0)
     H = build_hamiltonian(params, sample_disorder(8, 77), sector)
-    spec = decompose(H)
     amps0 = random_pure_state(rng, sector.dim)
     e0 = np.real(amps0.conj() @ H @ amps0)
     scale = np.linalg.norm(H, 2)
-    for amps in evolve_series(spec, amps0, [0.5, 10.0, 100.0]):
+    for amps in propagate(H, amps0, [0.5, 10.0, 100.0]):
         assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-10
         e_t = np.real(amps.conj() @ H @ amps)
         assert abs(e_t - e0) < 1e-8 * scale
@@ -78,32 +58,26 @@ def test_composition():
     rng = np.random.default_rng(19)
     sector = enumerate_sector(6, 2)
     params = ChainParams(n_sites=6, J=1.0, W=2.0, g=0.5)
-    spec = decompose(build_hamiltonian(params, sample_disorder(6, 4), sector))
+    H = build_hamiltonian(params, sample_disorder(6, 4), sector)
     amps0 = random_pure_state(rng, sector.dim)
-    (one_shot,) = evolve_series(spec, amps0, [7.5])
-    (two_step,) = evolve_series(spec, evolve_series(spec, amps0, [3.0])[0], [4.5])
+    (one_shot,) = propagate(H, amps0, [7.5])
+    (two_step,) = propagate(H, propagate(H, amps0, [3.0])[0], [4.5])
     np.testing.assert_allclose(one_shot, two_step, atol=1e-9)
 
 
 def test_evolve_series_is_time_major():
-    # the same product as a dim-major propagation, transposed into C order
+    # one C-ordered row of amplitudes per time, in the order of the times
     ((sector, amps),) = neel(4).blocks
     params = ChainParams(n_sites=4, J=1.0, W=2.0, g=1.0)
-    spec = decompose(build_hamiltonian(params, sample_disorder(4, 3), sector))
+    H = build_hamiltonian(params, sample_disorder(4, 3), sector)
     times = TimeGrid(0.1, 100.0, 7).times
-    series = evolve_series(spec, amps, times)
+    series = propagate(H, amps, times)
     assert series.shape == (7, 6) and series.flags.c_contiguous
-    # in real arithmetic: the coefficients' parts from one product with V,
-    # then the dim-major phases' real columns beside their imaginary ones,
-    # transposed, times V^T
-    V = spec.eigenvectors
-    re, im = np.stack([amps.real, amps.imag], axis=1).T @ V
-    phases = np.exp(np.outer(spec.eigenvalues, times) * (-1j)) * (re + 1j * im)[:, None]
-    product = np.concatenate([phases.real, phases.imag], axis=1).T @ V.T
-    np.testing.assert_array_equal(series, product[:7] + 1j * product[7:])
+    for t, row in zip(times, series):
+        np.testing.assert_allclose(row, propagate(H, amps, [t])[0], rtol=0, atol=1e-12)
 
 
-def test_evolve_series_from_complex_amplitudes_matches_expm():
+def test_propagate_from_complex_amplitudes_matches_expm():
     # both parts of the initial amplitudes propagate: dropping the imaginary
     # half, or its sign, fails here
     rng = np.random.default_rng(61)
@@ -113,15 +87,8 @@ def test_evolve_series_from_complex_amplitudes_matches_expm():
     amps0 = random_pure_state(rng, sector.dim)
     times = np.array([0.3, 2.0, 17.0])
     expected = np.stack([scipy.linalg.expm(-1j * H * t) @ amps0 for t in times])
-    series = evolve_series(decompose(H), amps0, times)
+    series = propagate(H, amps0, times)
     np.testing.assert_allclose(series, expected, rtol=0, atol=1e-12)
-
-
-def test_evolve_series_rejects_complex_eigenvectors():
-    spec = decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    complex_spec = SpectralDecomposition(spec.eigenvalues, spec.eigenvectors.astype(complex))
-    with pytest.raises(ValueError, match="real"):
-        evolve_series(complex_spec, np.array([1.0, 0.0]), [1.0])
 
 
 def test_multisector_against_dense_propagator():
@@ -130,7 +97,7 @@ def test_multisector_against_dense_propagator():
     params = ChainParams(n_sites=n, J=1.0, W=4.0, g=1.0)
     eps = sample_disorder(n, 55)
     blocks = tuple(
-        (sector, evolve_series(decompose(build_hamiltonian(params, eps, sector)), amps, [1.0])[0])
+        (sector, propagate(build_hamiltonian(params, eps, sector), amps, [1.0])[0])
         for sector, amps in psi0.blocks
     )
     evolved = BlockState(n_sites=n, blocks=blocks)
@@ -146,13 +113,13 @@ def test_multisector_block_weights_constant():
     params = ChainParams(n_sites=n, J=1.0, W=3.0, g=1.0)
     eps = sample_disorder(n, 8)
     for sector, amps in max_coherent(n).blocks:
-        spec = decompose(build_hamiltonian(params, eps, sector))
-        weights = np.sum(np.abs(evolve_series(spec, amps, [0.1, 1.0, 100.0])) ** 2, axis=1)
+        H = build_hamiltonian(params, eps, sector)
+        weights = np.sum(np.abs(propagate(H, amps, [0.1, 1.0, 100.0])) ** 2, axis=1)
         np.testing.assert_allclose(weights, np.sum(np.abs(amps) ** 2), atol=1e-10)
 
 
-def _one_particle_spec(params, eps):
-    return decompose(build_hamiltonian(params, eps, enumerate_sector(params.n_sites, 1)))
+def _one_particle_h(params, eps):
+    return build_hamiltonian(params, eps, enumerate_sector(params.n_sites, 1))
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -163,16 +130,15 @@ def test_slater_series_matches_dense_on_every_basis_state(n, boundary):
     # grows as ~5e-15 t and reaches 1e-12 near t = 200
     params = ChainParams(n_sites=n, J=1.0, W=3.0, g=0.0, boundary=boundary)
     eps = sample_disorder(n, 100 + n)
-    spec1 = _one_particle_spec(params, eps)
+    h = _one_particle_h(params, eps)
     times = TimeGrid(0.1, 100.0, 7).times
     for sector in full_space(n):
-        spec = decompose(build_hamiltonian(params, eps, sector))
+        eigenvalues, V = np.linalg.eigh(build_hamiltonian(params, eps, sector))
+        # the sector's propagators V exp(-i lambda t) V^T, one per time
+        dense = np.einsum("ij,tj,kj->tik", V, np.exp(-1j * np.outer(times, eigenvalues)), V)
         for m, x0 in enumerate(sector.states):
-            amps = np.zeros(sector.dim, dtype=complex)
-            amps[m] = 1.0
-            dense = evolve_series(spec, amps, times)
-            got = slater_series(spec1, sector, x0, times)
-            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+            got = slater_series(h, sector, x0, times)
+            np.testing.assert_allclose(got, dense[:, :, m], rtol=0, atol=1e-12)
 
 
 def test_slater_series_matches_brute_force_periodic_chain():
@@ -181,7 +147,7 @@ def test_slater_series_matches_brute_force_periodic_chain():
     n = 6
     params = ChainParams(n_sites=n, J=1.0, W=2.0, g=0.0, boundary="periodic")
     eps = sample_disorder(n, 21)
-    spec1 = _one_particle_spec(params, eps)
+    h = _one_particle_h(params, eps)
     full = dense_hamiltonian(n, params.J, params.W, params.g, eps, boundary="periodic")
     times = np.array([0.7, 3.0, 25.0])
     propagators = np.stack([scipy.linalg.expm(-1j * full * t) for t in times])
@@ -189,18 +155,21 @@ def test_slater_series_matches_brute_force_periodic_chain():
         for x0 in sector.states:
             expected = propagators[:, sector.states, x0]
             np.testing.assert_allclose(
-                slater_series(spec1, sector, x0, times), expected, rtol=0, atol=1e-12
+                slater_series(h, sector, x0, times), expected, rtol=0, atol=1e-12
             )
 
 
 def test_slater_series_rejects_mismatched_inputs():
     params = ChainParams(n_sites=4, W=1.0)
-    spec1 = _one_particle_spec(params, sample_disorder(4, 0))
+    h = _one_particle_h(params, sample_disorder(4, 0))
     times = np.array([1.0])
     with pytest.raises(ValueError):
-        slater_series(spec1, enumerate_sector(4, 2), 0b0111, times)
+        slater_series(h, enumerate_sector(4, 2), 0b0111, times)
     with pytest.raises(ValueError):
-        slater_series(spec1, enumerate_sector(5, 2), 0b0011, times)
+        slater_series(h, enumerate_sector(5, 2), 0b0011, times)
+    for bad in (h[:, :3], h[:3, :3], h.ravel()):  # an h not shaped (N, N)
+        with pytest.raises(ValueError, match="slater_series needs a square|has shape"):
+            slater_series(bad, enumerate_sector(4, 2), 0b0011, times)
 
 
 def test_default_time_grid_log_spacing():

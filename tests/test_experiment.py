@@ -5,7 +5,7 @@ import pytest
 
 from chainquench import experiment
 from chainquench.blas import blas_threads, one_blas_thread, openblas
-from chainquench.evolve import TimeGrid, decompose, evolve_series
+from chainquench.evolve import TimeGrid, propagate
 from chainquench.experiment import (
     make_default_config,
     realization_seed,
@@ -56,7 +56,7 @@ def test_worker_count_does_not_change_results():
     assert serial.seeds == threaded.seeds
 
 
-# A serial run decomposes and propagates sectors below blas.ONE_THREAD_BELOW
+# A serial run diagonalizes and propagates sectors below blas.ONE_THREAD_BELOW
 # (462) states on one BLAS thread, as a pool does: N=10 (D=252) runs give the
 # same bits either way, while N=12 Neel (D=924) keeps the default count
 needs_openblas = pytest.mark.skipif(openblas() is None, reason="OpenBLAS not found")
@@ -183,22 +183,26 @@ def _logging(fn, log):
 
 
 @pytest.mark.parametrize(
-    "g,particles,dims,propagations", [(0.0, [1], [8], []), (1.0, [4], [], [70])],
+    "g,particles,one_particle_shapes,propagations",
+    [(0.0, [1], [(8, 8)], []), (1.0, [4], [], [70])],
     ids=["free", "interacting"],
 )
 def test_neel_realization_builds_through_the_experiment_bindings(
-    monkeypatch, g, particles, dims, propagations
+    monkeypatch, g, particles, one_particle_shapes, propagations
 ):
     # the benchmark's set-up marker is the first call of experiment.build_hamiltonian,
-    # so the free path must reach build and decompose through these bindings, and
-    # the dense path build and propagate
-    calls = {"build_hamiltonian": [], "decompose": [], "propagate": []}
+    # so both paths must build through that binding: the free path hands the
+    # N x N h it builds to slater_series, the dense path each sector's H to propagate
+    calls = {"build_hamiltonian": [], "slater_series": [], "propagate": []}
     for name, log in calls.items():
         monkeypatch.setattr(experiment, name, _logging(getattr(experiment, name), log))
     run_experiment(_small_config(n_sites=8, g=g, realizations=1))
     assert [args[2].n_particles for args, _ in calls["build_hamiltonian"]] == particles
-    assert [spec.dim for _, spec in calls["decompose"]] == dims
+    assert [args[0].shape for args, _ in calls["slater_series"]] == one_particle_shapes
     assert [series.shape[1] for _, series in calls["propagate"]] == propagations
+    built = [h for _, h in calls["build_hamiltonian"]]
+    handed = [args[0] for args, _ in calls["slater_series"] + calls["propagate"]]
+    assert len(built) == len(handed) and all(a is b for a, b in zip(built, handed))
 
 
 def _dense_fields(config):
@@ -207,8 +211,7 @@ def _dense_fields(config):
     rows = []
     for k in range(config.realizations):
         eps = sample_disorder(config.chain.n_sites, realization_seed(config.master_seed, k))
-        spec = decompose(build_hamiltonian(config.chain, eps, sector))
-        series = evolve_series(spec, amps0, config.grid.times)
+        series = propagate(build_hamiltonian(config.chain, eps, sector), amps0, config.grid.times)
         psi_t = BlockState(n_sites=config.chain.n_sites, blocks=((sector, series),))
         if config.mode == "global":
             trip = global_quantifiers(psi_t)

@@ -2,7 +2,9 @@
 
 Outputs are a trajectory CSV per run plus a JSON manifest that echoes the
 full resolved configuration and the numeric environment (numpy, BLAS and
-thread counts), enough to regenerate the CSV bit for bit.
+thread counts), enough to regenerate the CSV bit for bit. A config whose
+keys, types or values are wrong (every number must be finite), or an output
+directory that lies under a file, exits 2 before any realization starts.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -52,7 +55,7 @@ _FIELDS = {
     "W_values": [float],
     "g_values": [float],
 }
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 class ConfigError(Exception):
@@ -60,7 +63,8 @@ class ConfigError(Exception):
 
 
 def _checked(key: str, value, kind):
-    """`value` as the `_FIELDS` type `kind`; integers take integral floats, numbers no bools."""
+    """`value` as the `_FIELDS` type `kind`; integers take integral floats, numbers
+    no bools, and both only finite values (not JSON's NaN, Infinity, -Infinity)."""
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{key} must be a JSON object, got {value!r}")
@@ -78,7 +82,7 @@ def _checked(key: str, value, kind):
         ok = isinstance(value, str)
     else:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) and (
-            kind is float or isinstance(value, int) or value.is_integer()
+            isinstance(value, int) or math.isfinite(value) and (kind is float or value.is_integer())
         )
     if not ok:
         raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
@@ -159,7 +163,7 @@ def write_manifest(path: Path, record: TrajectoryRecord, csv_name: str) -> None:
         "master_seed": record.config.master_seed,
         "config": config_to_dict(record.config),
         "realization_seeds": list(record.seeds),
-        "warnings": list(record.warnings),
+        "warnings": list(record.config.warnings()),
         "environment": {
             "numpy": np.__version__,
             "blas_library": blas.library if blas else None,
@@ -174,6 +178,13 @@ def write_manifest(path: Path, record: TrajectoryRecord, csv_name: str) -> None:
         fh.write("\n")
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise ConfigError if the nearest existing ancestor of `out_dir` is no directory."""
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {out_dir}: {existing} is not a directory")
+
+
 def _emit(record: TrajectoryRecord, out_dir: Path, stem: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
@@ -184,6 +195,7 @@ def _emit(record: TrajectoryRecord, out_dir: Path, stem: str) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(load_config_file(args.config), seed_override=args.seed)
+    _check_out_dir(Path(args.out_dir))
     record = run_experiment(config, n_workers=args.threads)
     _emit(record, Path(args.out_dir), "trajectory")
     return 0
@@ -196,23 +208,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not w_values or not g_values:
         raise ConfigError("sweep needs nonempty W_values and g_values lists")
     base = parse_config(raw, seed_override=args.seed)
-    cells = [(w, g) for w in w_values for g in g_values]
-    try:
-        for w, g in cells:  # every cell's chain checks, before any compute
-            replace(base.chain, W=w, g=g)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    stems = [f"traj_W{w:g}_g{g:g}" for w, g in cells]
+    stems = [f"traj_W{w:g}_g{g:g}" for w in w_values for g in g_values]
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:
         raise ConfigError(f"W_values/g_values give more than one cell the output name {clashes}")
+    _check_out_dir(Path(args.out_dir))
     records = run_sweep(base, w_values, g_values, n_workers=args.threads)
     for record, stem in zip(records, stems):
         _emit(record, Path(args.out_dir), stem)
     return 0
 
 
-def _read_trajectory_csv(path: str | Path) -> TrajectoryRecord:
+def _read_trajectory_csv(path: str | Path) -> np.ndarray:
+    """The (n, 7) array of a trajectory CSV, its columns in `CSV_HEADER` order."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -227,31 +235,21 @@ def _read_trajectory_csv(path: str | Path) -> TrajectoryRecord:
         raise ConfigError(f"{path} has a non-numeric cell: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path} contains no data rows")
-    data = np.asarray(rows)
-    return TrajectoryRecord(
-        times=data[:, 0],
-        c_mean=data[:, 1],
-        c_sem=data[:, 2],
-        p_mean=data[:, 3],
-        p_sem=data[:, 4],
-        e_mean=data[:, 5],
-        e_sem=data[:, 6],
-        config=None,
-        seeds=(),
-        warnings=(),
-    )
+    return np.asarray(rows)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    record = _read_trajectory_csv(args.csv)
+    data = _read_trajectory_csv(args.csv)
+    times = data[:, CSV_HEADER.index("t")]
+    values = data[:, CSV_HEADER.index(f"{args.quantity}_mean")]
     try:
         if args.window_low is None and args.window_high is None:
-            window = last_decade(record.times)
+            window = last_decade(times)
         else:
-            low = args.window_low if args.window_low is not None else float(record.times[0])
-            high = args.window_high if args.window_high is not None else float(record.times[-1])
+            low = args.window_low if args.window_low is not None else float(times[0])
+            high = args.window_high if args.window_high is not None else float(times[-1])
             window = FitWindow(t_low=low, t_high=high)
-        result = fit_log(record, args.quantity, window, abs_tol=args.abs_tol, sig=args.sig)
+        result = fit_log(times, values, window, abs_tol=args.abs_tol, sig=args.sig)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     payload = {"quantity": args.quantity, "window": asdict(window), **asdict(result)}

@@ -4,6 +4,8 @@ A disorder-averaged quantity is fitted to y = a - b*log(t) (natural log)
 on a late-time window. A slope indistinguishable from zero means the
 quantity has saturated, the non-interacting localization signature; a
 significant slope means slow logarithmic drift, the interacting one.
+`fit_log` fits one pair of time and value arrays; which quantity the values
+are is the caller's choice.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ DEFAULT_SIG = 3.0
 SATURATED = "Saturated"
 LOG_DECAY = "LogDecay"
 LOG_GROWTH = "LogGrowth"
-
-_QUANTITY_FIELDS = {"C": "c_mean", "P": "p_mean", "E": "e_mean"}
 
 
 @dataclass(frozen=True)
@@ -57,22 +57,21 @@ def _label(b: float, b_stderr: float, abs_tol: float, sig: float) -> str:
 
 
 def fit_log(
-    traj,
-    quantity: str,
+    times: np.ndarray,
+    values: np.ndarray,
     window: FitWindow,
     abs_tol: float = DEFAULT_ABS_TOL,
     sig: float = DEFAULT_SIG,
 ) -> FitResult:
-    """Ordinary least squares of a trajectory mean against -log(t) in-window.
+    """Ordinary least squares of `values` against -log(`times`) in-window.
 
-    `traj` is any record with a `times` array and `c_mean`/`p_mean`/`e_mean`
-    arrays; `quantity` picks one of C, P, E.
+    `abs_tol` and `sig` must be finite and nonnegative.
     """
-    field = _QUANTITY_FIELDS.get(quantity)
-    if field is None:
-        raise ValueError(f"quantity must be one of {sorted(_QUANTITY_FIELDS)}, got {quantity!r}")
-    times = np.asarray(traj.times, dtype=float)
-    values = np.asarray(getattr(traj, field), dtype=float)
+    for name, bound in (("abs_tol", abs_tol), ("sig", sig)):
+        if not (np.isfinite(bound) and bound >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {bound}")
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
 
     inside = (times >= window.t_low) & (times <= window.t_high)
     m = int(inside.sum())
@@ -86,7 +85,7 @@ def fit_log(
     x = -np.log(times[inside])
     y = values[inside]
     if not np.all(np.isfinite(y)):
-        raise ValueError(f"{quantity} has non-finite values inside the fit window")
+        raise ValueError("non-finite values inside the fit window")
 
     design = np.column_stack([np.ones(m), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)

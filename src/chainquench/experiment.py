@@ -152,7 +152,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Disorder means and standard errors of (C, P, E) over the grid."""
+    """Disorder means and standard errors of (C, P, E) over the grid, from `run_experiment`."""
 
     times: np.ndarray
     c_mean: np.ndarray
@@ -161,9 +161,8 @@ class TrajectoryRecord:
     p_sem: np.ndarray
     e_mean: np.ndarray
     e_sem: np.ndarray
-    config: ExperimentConfig | None
+    config: ExperimentConfig
     seeds: tuple[int, ...]
-    warnings: tuple[str, ...]
     workers: int = 1
     # OpenBLAS threads that sectors of blas.ONE_THREAD_BELOW states or more
     # computed under (smaller ones ran on one); None when OpenBLAS is not found
@@ -239,7 +238,6 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRe
         e_sem=sem[:, 2],
         config=config,
         seeds=seeds,
-        warnings=config.warnings(),
         workers=n_workers,
         blas_threads=threads,
     )

@@ -53,22 +53,6 @@ class BlockState:
         """Squared norm, one value per time."""
         return sum(np.sum(np.abs(amps) ** 2, axis=-1) for _, amps in self.blocks)
 
-    @classmethod
-    def from_dense(cls, amplitudes: np.ndarray, n_sites: int) -> "BlockState":
-        """Split full 2^N amplitudes (last axis) into their nonzero sector blocks."""
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape[-1:] != (1 << n_sites,):
-            raise ValueError(
-                f"expected {1 << n_sites} amplitudes for {n_sites} sites, "
-                f"got {amplitudes.shape}"
-            )
-        blocks = []
-        for sector in full_space(n_sites):
-            amps = amplitudes[..., sector.states]
-            if np.any(amps != 0):
-                blocks.append((sector, amps))
-        return cls(n_sites=n_sites, blocks=tuple(blocks))
-
 
 def _basis_state(bits: int, sector: Sector) -> BlockState:
     amps = np.zeros(sector.dim, dtype=complex)

@@ -3,16 +3,19 @@
 Everything here is deliberately independent of the package internals:
 states are occupation tuples, operators are applied one at a time with
 explicit anticommutation bookkeeping, density matrices are materialized,
-and sums run in plain Python loops. The one exception is `hop_sign`, the
+and sums run in plain Python loops. The exceptions are `hop_sign`, the
 scalar form of the package's string-sign rule, kept here so the tests can
-check `sites_between_mask` hop by hop against operator application.
+check `sites_between_mask` hop by hop against operator application, and the
+two converters between a `BlockState` and its full 2^N amplitudes
+(`dense_amplitudes`, `blocks_from_dense`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from chainquench.hilbert import sites_between_mask
+from chainquench.hilbert import full_space, sites_between_mask
+from chainquench.states import BlockState
 
 
 def occ_tuple(bits: int, n_sites: int) -> tuple[int, ...]:
@@ -103,6 +106,21 @@ def dense_amplitudes(psi):
     for sector, amps in psi.blocks:
         out[..., sector.states] = amps
     return out
+
+
+def blocks_from_dense(amplitudes, n_sites):
+    """Split full 2^N amplitudes (last axis) into their nonzero sector blocks."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if amplitudes.shape[-1:] != (1 << n_sites,):
+        raise ValueError(
+            f"expected {1 << n_sites} amplitudes for {n_sites} sites, got {amplitudes.shape}"
+        )
+    blocks = []
+    for sector in full_space(n_sites):
+        amps = amplitudes[..., sector.states]
+        if np.any(amps != 0):
+            blocks.append((sector, amps))
+    return BlockState(n_sites=n_sites, blocks=tuple(blocks))
 
 
 def dense_partial_trace(vec, n_sites, keep_sites):

@@ -34,6 +34,7 @@ from chainquench.quantifiers import (
 from chainquench.states import BlockState, max_coherent, neel, w_state
 
 from _oracles import (
+    blocks_from_dense,
     dense_amplitudes,
     dense_hamiltonian,
     dense_partial_trace,
@@ -103,7 +104,7 @@ def test_criterion_02_strict_cr_pure_states():
     worst = 0.0
     for i in range(1000):
         n = 1 + i % 8
-        state = BlockState.from_dense(random_pure_state(rng, 1 << n), n)
+        state = blocks_from_dense(random_pure_state(rng, 1 << n), n)
         trip = global_quantifiers(state)
         worst = max(worst, abs(trip.C + trip.P - 1.0))
         assert trip.E == 0.0
@@ -247,8 +248,8 @@ def test_criterion_07_weak_disorder_classification():
     )
     rec_al, rec_int = run_sweep(base, [2.0], [0.0, 1.0], n_workers=WORKERS)
     window = last_decade(rec_al.times)
-    fit_al = fit_log(rec_al, "P", window)
-    fit_int = fit_log(rec_int, "P", window)
+    fit_al = fit_log(rec_al.times, rec_al.p_mean, window)
+    fit_int = fit_log(rec_int.times, rec_int.p_mean, window)
     ok = (
         fit_al.label == SATURATED
         and fit_int.label == LOG_DECAY
@@ -282,7 +283,7 @@ def test_criterion_08_robustness_across_disorder():
     records = run_sweep(base, [6.0, 10.0], [0.0, 1.0], n_workers=WORKERS)
     outcomes = []
     for rec in records:
-        fit = fit_log(rec, "P", last_decade(rec.times))
+        fit = fit_log(rec.times, rec.p_mean, last_decade(rec.times))
         outcomes.append((rec.config.chain.W, rec.config.chain.g, fit))
     expected = {0.0: SATURATED, 1.0: LOG_DECAY}
     ok = all(fit.label == expected[g] for _, g, fit in outcomes)
@@ -312,7 +313,10 @@ def test_criterion_09_bipartite_cancellation():
     )
     record = run_experiment(config, n_workers=WORKERS)
     window = last_decade(record.times)
-    fits = {q: fit_log(record, q, window) for q in ("C", "P", "E")}
+    fits = {
+        q: fit_log(record.times, values, window)
+        for q, values in (("C", record.c_mean), ("P", record.p_mean), ("E", record.e_mean))
+    }
     ok = abs(fits["P"].b) < abs(fits["C"].b) and abs(fits["P"].b) < abs(fits["E"].b)
     _report(9, ok, f"2-site window slopes at N=12 W=2 g=1: |b_P|={abs(fits['P'].b):.2e} vs "
                    f"|b_C|={abs(fits['C'].b):.2e}, |b_E|={abs(fits['E'].b):.2e}")
@@ -373,8 +377,8 @@ def test_supplementary_log_drift_in_active_window(fig2_records):
     """
     rec_al, rec_int = fig2_records
     window = FitWindow(10.0, 1000.0)
-    fit_al = fit_log(rec_al, "P", window)
-    fit_int = fit_log(rec_int, "P", window)
+    fit_al = fit_log(rec_al.times, rec_al.p_mean, window)
+    fit_int = fit_log(rec_int.times, rec_int.p_mean, window)
     print(
         f"\n[supplementary] [10,1000] P fits: AL b={fit_al.b:+.2e} "
         f"({fit_al.b / max(fit_al.b_stderr, 1e-30):.1f} sigma), "

@@ -147,6 +147,11 @@ def test_seed_override(tmp_path):
         {"time_grid": {"t_max": "10"}},
         {"n_sites": 40},  # too large for memory; rejected before any enumeration
         {"time_grid": {"t_max": float("inf")}},  # written as the JSON literal Infinity
+        {"J": float("nan")},
+        {"W": float("inf")},
+        {"g": float("-inf")},
+        {"time_grid": {"t_min": float("nan")}},
+        {"time_grid": {"t_max": float("-inf")}},
         {"time_grid": {"t_min": 1.0, "t_max": 1.0 + 2**-52, "n_points": 100}},  # not increasing
     ],
     ids=lambda overrides: ",".join(f"{k}={v!r}" for k, v in overrides.items()),
@@ -225,6 +230,20 @@ def test_run_and_sweep_size_memory_for_their_workers(tmp_path, host_with_8_gib, 
     with pytest.raises(AssertionError, match="a realization started"):
         main(["run", "--config", str(cfg), "--out-dir", str(out), "--threads", "3"])
     assert not out.exists()
+
+
+def test_out_dir_under_a_file_is_rejected_before_any_realization(tmp_path, monkeypatch, capsys):
+    def no_realization(config, index):
+        raise AssertionError("a realization started")
+
+    monkeypatch.setattr(experiment, "_single_trajectory", no_realization)
+    (tmp_path / "afile").write_text("")
+    cfg = _write_config(tmp_path, W_values=[2.0], g_values=[0.0, 1.0])
+    for command in ("run", "sweep"):
+        for out in (tmp_path / "afile", tmp_path / "afile" / "sub"):
+            assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+            assert str(out) in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == ""
 
 
 @st.composite
@@ -333,9 +352,11 @@ def test_sweep_requires_value_lists(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     cfg = _write_config(tmp_path, name="c3.json", W_values=["x"], g_values=[0, 1])
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
-    # a string is no list, a bool no number, and a NaN cell fails before any cell runs
+    # a string is no list, a bool no number, and a non-finite cell fails before any cell runs
     for values in ({"W_values": "12", "g_values": [0]}, {"W_values": [2], "g_values": [True]},
-                   {"W_values": [2, float("nan")], "g_values": [0]}):
+                   {"W_values": [2, float("nan")], "g_values": [0]},
+                   {"W_values": [float("inf")], "g_values": [0]},
+                   {"W_values": [2], "g_values": [0, float("-inf")]}):
         cfg = _write_config(tmp_path, name="c4.json", **values)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -386,6 +407,20 @@ def test_fit_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,C_mean\n1.0,0.5\n")
     assert main(["fit", str(path), "--quantity", "P"]) == 2
+
+
+def test_fit_rejects_bad_flags(tmp_path, capsys):
+    times = np.logspace(-1, 3, 61)
+    path = tmp_path / "traj.csv"
+    _write_synthetic_csv(path, times, np.full_like(times, 0.5))
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(path), "--quantity", "X"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for flag, value in (("--sig", "-3"), ("--sig", "nan"), ("--abs-tol", "nan"), ("--abs-tol", "-1")):
+        assert main(["fit", str(path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag[2:].replace("-", "_") in captured.err
 
 
 def test_fit_rejects_nan_trajectory(tmp_path, capfd):

@@ -133,7 +133,7 @@ def test_local_mode_multisector_state():
         _small_config(initial_state="max_coherent", mode="local", window=2, realizations=2)
     )
     np.testing.assert_allclose(record.c_mean + record.p_mean + record.e_mean, 1.0, atol=1e-8)
-    assert record.warnings  # superselection note must surface
+    assert record.config.warnings()  # superselection note must surface
 
 
 def test_sweep_pairs_disorder_across_g():

@@ -19,6 +19,7 @@ from chainquench.quantifiers import (
 from chainquench.states import BlockState, max_coherent, neel
 
 from _oracles import (
+    blocks_from_dense,
     dense_amplitudes,
     dense_partial_trace,
     quantifiers_from_rho,
@@ -115,7 +116,7 @@ def test_global_shortcut_equals_dense_rho():
     rng = np.random.default_rng(23)
     for n in (2, 4, 6):
         vec = random_pure_state(rng, 1 << n)
-        state = BlockState.from_dense(vec, n)
+        state = blocks_from_dense(vec, n)
         trip = global_quantifiers(state)
         ref_c, ref_p, _ = quantifiers_from_rho(np.outer(vec, vec.conj()))
         scale = (1 << n) - 1
@@ -178,7 +179,7 @@ def test_partial_trace_rejects_bad_windows():
 
 def test_local_full_window_equals_global():
     rng = np.random.default_rng(41)
-    state = BlockState.from_dense(random_pure_state(rng, 32), 5)
+    state = blocks_from_dense(random_pure_state(rng, 32), 5)
     loc = local_quantifiers(state, 5)
     glo = global_quantifiers(state)
     assert loc.C == pytest.approx(glo.C, abs=1e-12)
@@ -196,7 +197,7 @@ def test_local_neel_windows_are_classical():
 def test_local_matches_dense_window_average():
     rng = np.random.default_rng(43)
     vec = random_pure_state(rng, 16)
-    state = BlockState.from_dense(vec, 4)
+    state = blocks_from_dense(vec, 4)
     trip = local_quantifiers(state, 2)
     c = p = e = 0.0
     for first in (1, 2, 3):
@@ -254,7 +255,7 @@ def _random_state_over_time(rng, n, n_times, n_particles):
     rows = rng.standard_normal((n_times, dim)) + 1j * rng.standard_normal((n_times, dim))
     rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
     if n_particles is None:
-        return BlockState.from_dense(rows, n)
+        return blocks_from_dense(rows, n)
     return BlockState(n_sites=n, blocks=((enumerate_sector(n, n_particles), rows),))
 
 

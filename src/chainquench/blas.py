@@ -1,20 +1,20 @@
 """The OpenBLAS that numpy loaded, reached through ctypes.
 
 Each realization worker propagates a sector of `ONE_THREAD_BELOW` states or
-more through the library's LAPACKE routines, in place on the caller's
-buffer: the tridiagonal reduction `dsytrd`, the divide-and-conquer `dstedc`
-and the back-transform `dormtr`, which `evolve.propagate` applies to the
-propagated columns only. Smaller sectors go through numpy's `eigh`. ctypes
-releases the GIL for each call, so workers diagonalize in parallel.
+more through two of the library's LAPACKE routines, in place on the
+caller's buffer: the tridiagonal reduction `dsytrd` and the
+divide-and-conquer `dstedc`; `evolve.propagate` applies the reduction's
+reflectors itself, as GEMMs. Smaller sectors go through numpy's `eigh`.
+ctypes releases the GIL for each call, so workers diagonalize in parallel.
 OpenBLAS starts its own threads inside every call, so a worker pool on top
 of them oversubscribes the cores; `one_blas_thread` pins OpenBLAS to one
 thread while a pool runs. The thread rule outside a pool: the eigenvector
 path, below `ONE_THREAD_BELOW` states or on a Slater run's N x N
 one-particle matrix, runs on one OpenBLAS thread, where a second thread
 saves little time and spins for the rest, and the tridiagonal path keeps
-the library's count except for its thin `dormtr` calls. The thread count
-changes the bits LAPACK returns for large enough matrices, so a run records
-the count its sectors at or above that dimension computed under.
+the library's count. The thread count changes the bits LAPACK returns for
+large enough matrices, so a run records the count its sectors at or above
+that dimension computed under.
 """
 from __future__ import annotations
 
@@ -38,13 +38,14 @@ _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 # time, by 9-22% at it and by 20-44% from D=495 up (D=924: 119 vs 71 ms).
 # It is also where `evolve.propagate` leaves the eigenvector path for the
 # tridiagonal one. Its eigendecomposition and propagation of one basis state
-# over 61 times, median ms, eigenvector path -> tridiagonal path, alternating
-# order:
-#   D          210        252        330         462         495         792        924
-#   1 thread  5.7->6.2   8.6->9.1  15.3->13.9  31.1->29.7  38.1->36.0  122->105   180->153
-#   2 threads 6.8->7.0   8.8->8.7  13.1->13.7  25.0->25.4  27.7->29.0   77->76    112->108
-# On one thread it wins from D=330, but no workload has a sector there, and
-# a crossover at this dimension keeps every smaller sector's bits.
+# over 61 times, median ms of 31 alternating pairs, eigenvector path ->
+# tridiagonal path (its reflectors as compact-WY GEMMs):
+#   D          210       252       330        462        495        792       924
+#   1 thread  6.1->6.7  9.3->9.4  16.6->14.9  34.9->27.0  29.5->23.0  98->73  161->114
+#   2 threads 5.3->5.5  7.4->6.9  13.4->11.7  27.5->21.3  31.7->25.1  86->67  127->89
+# The tridiagonal path wins from D=330 and by 20-30% from this dimension up,
+# but no workload has a sector below it and above 252, and a crossover here
+# keeps every smaller sector's bits.
 ONE_THREAD_BELOW = 462
 
 
@@ -64,9 +65,6 @@ class OpenBLAS:
     # (d, e, z): the ascending eigenvalues of T over `d`, `e` destroyed, and
     # its eigenvectors into the D x D `z`, one per row
     stedc: Callable[[np.ndarray, np.ndarray, np.ndarray], int]
-    # (trans, a, tau, c): Q x (trans b"N") or Q^T x (b"T") over each row x of
-    # the (k, D) `c`, from the `a` and `tau` that sytrd wrote
-    ormtr: Callable[[bytes, np.ndarray, np.ndarray, np.ndarray], int]
 
 
 def _ld(a: np.ndarray) -> int:
@@ -86,9 +84,9 @@ def openblas() -> OpenBLAS | None:
                     getattr(lib, f"{prefix}_{name}{suffix}")
                     for name in ("get_num_threads", "set_num_threads", "get_config")
                 ]
-                dsytrd, dstedc, dormtr = [
+                dsytrd, dstedc = [
                     getattr(lib, f"{prefix.removesuffix('openblas')}LAPACKE_{name}{suffix}")
-                    for name in ("dsytrd", "dstedc", "dormtr")
+                    for name in ("dsytrd", "dstedc")
                 ]
             except AttributeError:
                 continue
@@ -102,7 +100,6 @@ def openblas() -> OpenBLAS | None:
             for routine, args in (
                 (dsytrd, [char, index, ptr, index, ptr, ptr, ptr]),
                 (dstedc, [char, index, ptr, ptr, ptr, index]),
-                (dormtr, [char, char, char, index, index, ptr, index, ptr, ptr, index]),
             ):
                 routine.argtypes, routine.restype = [ctypes.c_int, *args], index
             return OpenBLAS(
@@ -112,9 +109,6 @@ def openblas() -> OpenBLAS | None:
                     d.ctypes.data, e.ctypes.data, tau.ctypes.data),
                 stedc=lambda d, e, z: dstedc(
                     _COL_MAJOR, b"I", len(d), d.ctypes.data, e.ctypes.data, z.ctypes.data, _ld(z)),
-                ormtr=lambda trans, a, tau, c: dormtr(
-                    _COL_MAJOR, b"L", b"L", trans, len(a), len(c), a.ctypes.data, _ld(a),
-                    tau.ctypes.data, c.ctypes.data, _ld(c)),
             )
     return None
 

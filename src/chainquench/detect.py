@@ -30,6 +30,9 @@ class FitWindow:
     t_high: float
 
     def __post_init__(self) -> None:
+        for name, bound in (("t_low", self.t_low), ("t_high", self.t_high)):
+            if not np.isfinite(bound):
+                raise ValueError(f"{name} must be finite, got {bound}")
         if not self.t_low < self.t_high:
             raise ValueError(f"need t_low < t_high, got ({self.t_low}, {self.t_high})")
 

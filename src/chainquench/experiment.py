@@ -13,9 +13,9 @@ may run on worker threads; aggregation always folds them in
 realization-index order. A worker pool pins OpenBLAS to one thread, so runs
 with two or more workers are bit-identical to each other. A serial run
 follows the thread rule of `blas`: the eigenvector path runs on one thread,
-and the tridiagonal path keeps the library's count except for `dormtr`. So
-a serial run whose sectors all lie below 462 states is bit-identical to a
-pooled run; otherwise its results can differ from one in the last digits.
+and the tridiagonal path keeps the library's count. So a serial run whose
+sectors all lie below 462 states is bit-identical to a pooled run;
+otherwise its results can differ from one in the last digits.
 """
 
 from __future__ import annotations
@@ -111,10 +111,11 @@ class ExperimentConfig:
         #   on the Slater path, whose Laplace steps sum products of gathered
         #   minors (tracemalloc, N=12 and 14 Néel, 200 times: 4.0 of them);
         # - 2.7 dense Hamiltonians of the largest sector unless the run is a
-        #   Slater one: H, overwritten by T's eigenvectors, half of it in
-        #   copied reflectors and dstedc's D^2 workspace (ru_maxrss of a child,
-        #   N=14 Néel, D=3432: 2.62; below 462 states numpy's eigh takes
-        #   6.2-6.7 at D=252-455, < 10 MB, and is left uncounted);
+        #   Slater one: H, overwritten by T's eigenvectors, the reflectors'
+        #   compact-WY blocks (half of it, plus zero triangles and T factors)
+        #   and dstedc's D^2 workspace (ru_maxrss of a child, N=14 Néel,
+        #   D=3432: 2.65; below 462 states numpy's eigh takes 6.2-6.7 at
+        #   D=252-455, < 10 MB, and is left uncounted);
         # - in local mode, the amplitudes, their concatenation if they span
         #   several sectors, the gather buffer, one window's matrices and their
         #   Gram, 3 * 16 n_times 4^w, 16 D bytes of cached plan per window and

@@ -12,6 +12,7 @@ from chainquench.blas import ONE_THREAD_BELOW, OpenBLAS, blas_threads, one_blas_
 from chainquench.evolve import TimeGrid, propagate, slater_series
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
+from chainquench.states import max_coherent, neel
 
 needs_openblas = pytest.mark.skipif(openblas() is None, reason="OpenBLAS not found")
 
@@ -45,7 +46,7 @@ def counting(monkeypatch):
     """A library whose thread count is `fake`'s, with the bundled LAPACK routines when found."""
     fake = _CountingOpenBLAS(threads=2)
     real = openblas()
-    lapack = {name: getattr(real, name, None) for name in ("sytrd", "stedc", "ormtr")}
+    lapack = {name: getattr(real, name, None) for name in ("sytrd", "stedc")}
     lib = OpenBLAS("fake", "fake", lambda: fake.threads, fake.set, **lapack)
     monkeypatch.setattr(blas, "openblas", lambda: lib)
     return fake
@@ -79,7 +80,7 @@ def test_thread_count_restored_when_decompose_raises(two_blas_threads):
 def test_rule_lowers_the_count_only_below_the_dimension(counting, monkeypatch):
     # one eigh and its products run inside a single one-thread block, so a
     # call sets the count and restores it once; at the dimension no eigh
-    # runs (test_propagate_runs_dormtr_on_one_thread)
+    # runs (test_propagate_keeps_the_count_on_the_tridiagonal_path)
     seen = []
     eigh = np.linalg.eigh
 
@@ -154,6 +155,65 @@ def test_propagate_matches_the_eigenvector_path(blas_count, monkeypatch, sector,
     assert blas_threads() == blas_count
 
 
+def _without_openblas(monkeypatch, H, amps):
+    """propagate on the eigenvector path, at the library's count; H is left as it was."""
+    with monkeypatch.context() as patched:
+        patched.setattr(blas, "openblas", lambda: None)
+        return propagate(H, amps, _TIMES)
+
+
+def _reflector_free(kind):
+    """A D* x D* symmetric matrix on which dsytrd returns some tau = 0."""
+    rng = np.random.default_rng(11)
+    dim = ONE_THREAD_BELOW
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=dim))
+    if kind == "tridiagonal":
+        off = rng.normal(size=dim - 1)
+        return np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off, -1)
+    H = _hamiltonian(11, 5)
+    cut = 1 if kind == "detached" else dim // 2  # a first state, or a half, coupled to nothing
+    H[:cut, cut:] = H[cut:, :cut] = 0
+    return H
+
+
+@needs_openblas
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "detached", "two-blocks"])
+def test_propagate_matches_the_eigenvector_path_where_reflectors_vanish(monkeypatch, kind):
+    H = _reflector_free(kind)
+    d, e, tau = np.empty(len(H)), np.empty(len(H) - 1), np.empty(len(H) - 1)
+    openblas().sytrd(H.copy(), d, e, tau)
+    assert (tau == 0).any()
+    amps = _states(enumerate_sector(11, 5))["random"]
+    expected = _without_openblas(monkeypatch, H, amps)
+    np.testing.assert_allclose(propagate(H, amps, _TIMES), expected, rtol=0, atol=1e-12)
+
+
+@needs_openblas
+def test_propagate_matches_the_eigenvector_path_with_a_last_block_of_one(monkeypatch):
+    # 513 reflectors: eight compact-WY blocks of 64, then one of a single reflector
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(514, 514))
+    amps = rng.normal(size=514) + 1j * rng.normal(size=514)
+    H = A + A.T
+    expected = _without_openblas(monkeypatch, H, amps)
+    np.testing.assert_allclose(propagate(H, amps, _TIMES), expected, rtol=0, atol=1e-12)
+
+
+@needs_openblas
+@pytest.mark.parametrize("case", ["neel12-W2", "neel12-W10", "max_coherent11"])
+def test_propagate_matches_the_eigenvector_path_on_run_sectors(monkeypatch, case):
+    n, state = (11, max_coherent(11)) if case == "max_coherent11" else (12, neel(12))
+    params = ChainParams(n_sites=n, J=1.0, W=10.0 if case.endswith("W10") else 2.0, g=1.0)
+    eps = sample_disorder(n, 5)
+    blocks = [(s, amps) for s, amps in state.blocks if s.dim >= ONE_THREAD_BELOW]
+    assert [s.dim for s, _ in blocks] == ([462, 462] if n == 11 else [924])
+    for sector, amps in blocks:
+        H = build_hamiltonian(params, eps, sector)
+        expected = _without_openblas(monkeypatch, H, amps)
+        np.testing.assert_allclose(propagate(H, amps, _TIMES), expected, rtol=0, atol=1e-12)
+
+
 def _eigenvector_path(H, amps, times):
     """The eigenvector path's arithmetic, written out: the coefficients' real
     and imaginary parts from one product with V, then the dim-major phases'
@@ -213,35 +273,34 @@ def _recording(lib, fake, seen):
 
         return recorded
 
-    return replace(lib, **{name: record(name) for name in ("sytrd", "stedc", "ormtr")})
+    return replace(lib, **{name: record(name) for name in ("sytrd", "stedc")})
 
 
 @needs_openblas
-def test_propagate_runs_dormtr_on_one_thread(counting, monkeypatch):
+def test_propagate_keeps_the_count_on_the_tridiagonal_path(counting, monkeypatch):
     seen = []
     monkeypatch.setattr(blas, "openblas", lambda lib=_recording(blas.openblas(), counting, seen): lib)
     H, amps = _hamiltonian(11, 5), _states(enumerate_sector(11, 5))["neel"]
     propagate(H.copy(), amps, _TIMES)
-    # the state's dormtr runs before dstedc writes Z over the reflectors
-    assert seen == [("sytrd", 2), ("ormtr", 1), ("stedc", 2), ("ormtr", 1)]
-    assert counting.sets == [1, 2, 1, 2]
+    # the reflectors go on as GEMMs, at the library's count like both routines
+    assert seen == [("sytrd", 2), ("stedc", 2)]
+    assert counting.sets == []
     # a pool's workers, already on one thread, never set the count
     seen.clear()
     with one_blas_thread():
         counting.sets.clear()
         propagate(H.copy(), amps, _TIMES)
         assert counting.sets == []
-    assert seen == [("sytrd", 1), ("ormtr", 1), ("stedc", 1), ("ormtr", 1)]
+    assert seen == [("sytrd", 1), ("stedc", 1)]
 
 
 @needs_openblas
-@pytest.mark.parametrize("failing,calls", [("sytrd", 1), ("stedc", 1), ("ormtr", 1), ("ormtr", 2)])
+@pytest.mark.parametrize("failing,calls", [("sytrd", 1), ("stedc", 1)])
 @pytest.mark.parametrize("info", [-5, 3])
 def test_propagate_raises_on_any_nonzero_info_and_restores_the_count(
     two_blas_threads, monkeypatch, failing, calls, info
 ):
-    # the routine fails on its `calls`-th call: dormtr runs first on the state,
-    # then on the propagated block
+    # the routine fails on its `calls`-th call
     lib = openblas()
     routine, count = getattr(lib, failing), []
 
@@ -312,9 +371,10 @@ print((after - before) * 1024 / (8 * sector.dim**2))
 
 @needs_openblas
 def test_propagate_peak_memory_is_h_z_and_the_workspace():
-    # H, overwritten by T's eigenvectors Z, the reflectors' copy beside it
-    # and dstedc's D^2 workspace: 3.0 here, the (n_times, D) arrays included
-    # (2.6 at D=3432); one more D x D array, such as the product Q Z, makes 4
+    # H, overwritten by T's eigenvectors Z, the reflectors' compact-WY blocks
+    # beside it and dstedc's D^2 workspace: 3.1 here, the (n_times, D) arrays
+    # included (2.65 at D=3432); one more D x D array, such as the product Q Z,
+    # makes 4
     src = Path(blas.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", _PROPAGATE_PEAK_SCRIPT, str(src)],
                          capture_output=True, text=True, check=True, timeout=120)
@@ -323,7 +383,8 @@ def test_propagate_peak_memory_is_h_z_and_the_workspace():
 
 @needs_openblas
 def test_propagate_allocates_no_second_square_array():
-    # numpy's allocations only: the reflectors' copy, half of H, and the
+    # numpy's allocations only: the reflectors' compact-WY blocks, half of H
+    # with their zero triangles and T factors (0.7 of H at this D), and the
     # (n_times, D) phases and products; Z overwrites H, and LAPACKE's own
     # workspace is not traced
     H = _hamiltonian(11, 5)  # D = 462

@@ -185,6 +185,18 @@ def test_run_rejects_chains_beyond_63_bit_patterns(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
 
 
+def test_run_with_nan_propagated_amplitudes_exits_3(tmp_path, capsys):
+    # at W=1e306 the eigenvalues times t overflow and the phases turn NaN;
+    # N=12 Neel's 924 states take the tridiagonal path, which must not write them
+    out = tmp_path / "out"
+    grid = {"t_min": 0.1, "t_max": 1000.0, "n_points": 5}
+    cfg = _write_config(tmp_path, n_sites=12, W=1e306, realizations=1, time_grid=grid)
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 3
+    assert "eigendecomposition failed for dim=924 matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_sizes_window_matrices_and_slater_amplitudes(tmp_path, host_with_8_gib, capsys):
     out = tmp_path / "out"
     grid = {"t_min": 0.1, "t_max": 1000.0, "n_points": 61}
@@ -417,10 +429,15 @@ def test_fit_rejects_bad_flags(tmp_path, capsys):
         main(["fit", str(path), "--quantity", "X"])
     assert exc.value.code == 2
     capsys.readouterr()
-    for flag, value in (("--sig", "-3"), ("--sig", "nan"), ("--abs-tol", "nan"), ("--abs-tol", "-1")):
+    for flag, value, name in (
+        ("--sig", "-3", "sig"), ("--sig", "nan", "sig"),
+        ("--abs-tol", "nan", "abs_tol"), ("--abs-tol", "-1", "abs_tol"),
+        ("--window-low", "nan", "t_low"), ("--window-low", "inf", "t_low"),
+        ("--window-high", "inf", "t_high"), ("--window-high", "nan", "t_high"),
+    ):
         assert main(["fit", str(path), flag, value]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and flag[2:].replace("-", "_") in captured.err
+        assert captured.out == "" and f"{name} must be finite" in captured.err
 
 
 def test_fit_rejects_nan_trajectory(tmp_path, capfd):

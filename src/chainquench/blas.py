@@ -8,13 +8,9 @@ reflectors itself, as GEMMs. Smaller sectors go through numpy's `eigh`.
 ctypes releases the GIL for each call, so workers diagonalize in parallel.
 OpenBLAS starts its own threads inside every call, so a worker pool on top
 of them oversubscribes the cores; `one_blas_thread` pins OpenBLAS to one
-thread while a pool runs. The thread rule outside a pool: the eigenvector
-path, below `ONE_THREAD_BELOW` states or on a Slater run's N x N
-one-particle matrix, runs on one OpenBLAS thread, where a second thread
-saves little time and spins for the rest, and the tridiagonal path keeps
-the library's count. The thread count changes the bits LAPACK returns for
-large enough matrices, so a run records the count its sectors at or above
-that dimension computed under.
+thread, and `experiment.run_experiment` decides once per run whether to.
+The thread count changes the bits LAPACK returns for large enough
+matrices, so a run records the count it computed under.
 """
 from __future__ import annotations
 
@@ -32,14 +28,14 @@ import numpy as np
 _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
-# Matrices of smaller dimension run on one OpenBLAS thread. On a 2-core Xeon
-# (OpenBLAS 0.3.31, default 2 threads) a second thread cut eigh's wall time
-# by at most a sixth below it (D=330: 9.2 vs 7.7 ms), for twice the CPU
-# time, by 9-22% at it and by 20-44% from D=495 up (D=924: 119 vs 71 ms).
-# It is also where `evolve.propagate` leaves the eigenvector path for the
-# tridiagonal one. Its eigendecomposition and propagation of one basis state
-# over 61 times, median ms of 31 alternating pairs, eigenvector path ->
-# tridiagonal path (its reflectors as compact-WY GEMMs):
+# A serial run whose matrices all have smaller dimension runs on one OpenBLAS
+# thread. On a 2-core Xeon (OpenBLAS 0.3.31, default 2 threads) a second
+# thread cut eigh's wall time by at most a sixth below it (D=330: 9.2 vs
+# 7.7 ms), for twice the CPU time, by 9-22% at it and by 20-44% from D=495
+# up (D=924: 119 vs 71 ms). It is also where `evolve.propagate` leaves the
+# eigenvector path for the tridiagonal one. Its eigendecomposition and
+# propagation of one basis state over 61 times, median ms of 31 alternating
+# pairs, eigenvector path -> tridiagonal path (reflectors as compact-WY GEMMs):
 #   D          210       252       330        462        495        792       924
 #   1 thread  6.1->6.7  9.3->9.4  16.6->14.9  34.9->27.0  29.5->23.0  98->73  161->114
 #   2 threads 5.3->5.5  7.4->6.9  13.4->11.7  27.5->21.3  31.7->25.1  86->67  127->89
@@ -125,9 +121,8 @@ def one_blas_thread() -> Iterator[int | None]:
 
     The count is process-wide, so it also holds for BLAS calls other threads
     make meanwhile. It is only ever lowered: when it is already 1 or
-    OpenBLAS is not found, nothing is set, so a pool's workers never touch
-    the setting. Yields the count in effect: 1, or None when OpenBLAS is not
-    found.
+    OpenBLAS is not found, nothing is set. Yields the count in effect: 1, or
+    None when OpenBLAS is not found.
     """
     lib = openblas()
     previous = None if lib is None else lib.get_num_threads()

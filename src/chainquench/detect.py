@@ -93,18 +93,14 @@ def fit_log(
     design = np.column_stack([np.ones(m), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     a, b = float(coef[0]), float(coef[1])
-    residuals = y - design @ coef
-    ss_res = float(residuals @ residuals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = y - design @ coef
+        ss_res = float(residuals @ residuals)
+    if not np.isfinite(ss_res):
+        raise ValueError(f"residual sum of squares is {ss_res}: values too large to fit")
     sigma2 = ss_res / (m - 2)
     cov = sigma2 * np.linalg.inv(design.T @ design)
     b_stderr = float(np.sqrt(cov[1, 1]))
     rms = float(np.sqrt(ss_res / m))
-
-    return FitResult(
-        a=a,
-        b=b,
-        b_stderr=b_stderr,
-        rms_residual=rms,
-        label=_label(b, b_stderr, abs_tol, sig),
-        n_points=m,
-    )
+    return FitResult(a=a, b=b, b_stderr=b_stderr, rms_residual=rms,
+                     label=_label(b, b_stderr, abs_tol, sig), n_points=m)

@@ -16,8 +16,7 @@ propagator. Both return time-major (n_times, dim) amplitudes over a
 `TimeGrid`'s times. The sector Hamiltonians are real symmetric, so their
 eigenvectors are real, and the real and imaginary parts of a state
 propagate through real products: no complex copy of a D x D matrix is made.
-The eigenvector path runs on one OpenBLAS thread; the tridiagonal path
-keeps the library's count.
+Neither function changes the OpenBLAS thread count: each runs at the caller's.
 """
 
 from __future__ import annotations
@@ -155,19 +154,18 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     """A sector's amplitudes at every grid time, time-major (n_times, dim); may overwrite H.
 
     Below `blas.ONE_THREAD_BELOW` states, or when no OpenBLAS is found, this
-    applies the eigenvectors V of numpy's `eigh`, on one OpenBLAS thread,
-    and leaves H as it was. At or above it V = Q Z is never formed: LAPACK
-    reduces H in place to the tridiagonal T = Q^T H Q (`dsytrd`) and
-    diagonalizes T = Z diag(lambda) Z^T (`dstedc`), and Q's Householder
-    reflectors, copied out of H into compact-WY blocks, go onto the 2 real
-    columns of the state and the 2 n_times real columns of
+    applies the eigenvectors V of numpy's `eigh` and leaves H as it was. At
+    or above it V = Q Z is never formed: LAPACK reduces H in place to the
+    tridiagonal T = Q^T H Q (`dsytrd`) and diagonalizes
+    T = Z diag(lambda) Z^T (`dstedc`), and Q's Householder reflectors,
+    copied out of H into compact-WY blocks, go onto the 2 real columns of
+    the state and the 2 n_times real columns of
     psi(t) = Q Z exp(-i lambda t) Z^T Q^T psi0. That skips the 2 D^3 product
     Q Z. Z overwrites H, so H ends holding it, one eigenvector per row. The
     call holds H, the blocks (half of H, with their zero triangles and T
-    factors) and `dstedc`'s D^2 workspace, and every step keeps the
-    library's thread count. A non-finite propagated column raises
-    LinAlgError. H is copied first unless it is writeable C-contiguous
-    float64.
+    factors) and `dstedc`'s D^2 workspace. A non-finite propagated column
+    raises LinAlgError. H is copied first unless it is writeable
+    C-contiguous float64.
     """
     dim = _square_dim(H, "propagate")
     if len(amplitudes) != dim:
@@ -175,13 +173,12 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     amplitudes = np.asarray(amplitudes)
     lib = blas.openblas()
     if lib is None or dim < blas.ONE_THREAD_BELOW:
-        with blas.one_blas_thread():
-            eigenvalues, V = _eigh(H)
-            # dim-major phases: this operand order fixes the CSV bits. Time-major
-            # ones, V @ phases, move them by up to 4e-15 at D=252 and run no
-            # faster (one thread, 61 times); V's memory order changes neither
-            re, im = np.stack([amplitudes.real, amplitudes.imag], axis=1).T @ V
-            product = _phased(eigenvalues, re + 1j * im, times).T @ V.T
+        eigenvalues, V = _eigh(H)
+        # dim-major phases: this operand order fixes the CSV bits. Time-major
+        # ones, V @ phases, move them by up to 4e-15 at D=252 and run no
+        # faster (one thread, 61 times); V's memory order changes neither
+        re, im = np.stack([amplitudes.real, amplitudes.imag], axis=1).T @ V
+        product = _phased(eigenvalues, re + 1j * im, times).T @ V.T
         return _complex_rows(product)
     H = np.require(H, np.float64, ["C", "W"])
     eigenvalues, e, tau = np.empty(dim), np.empty(dim - 1), np.empty(dim - 1)
@@ -228,8 +225,7 @@ def slater_series(h: np.ndarray, sector: Sector, x0: int, times: np.ndarray) -> 
     the occupied columns of U(t) = exp(-i h t) (Peschel, J. Phys. A 36, L205,
     2003). The minors are built by Laplace expansion, one particle count at a
     time, so the cost is sum_j j C(N, j) per time instead of a dim^3
-    decomposition. h's `eigh` and the product into A run on one OpenBLAS
-    thread.
+    decomposition.
     """
     n = sector.n_sites
     if _square_dim(h, "slater_series") != n:
@@ -237,10 +233,9 @@ def slater_series(h: np.ndarray, sector: Sector, x0: int, times: np.ndarray) -> 
     occupied = np.flatnonzero((int(x0) >> np.arange(n)) & 1)
     if len(occupied) != sector.n_particles:
         raise ValueError(f"state {int(x0):#b} is not in the {sector.n_particles}-particle sector")
-    with blas.one_blas_thread():
-        eigenvalues, V = _eigh(h)
-        phases = np.exp(np.outer(np.asarray(times), eigenvalues) * (-1j))
-        A = (V * phases[:, None, :]) @ V[occupied].T  # (n_times, N, k)
+    eigenvalues, V = _eigh(h)
+    phases = np.exp(np.outer(np.asarray(times), eigenvalues) * (-1j))
+    A = (V * phases[:, None, :]) @ V[occupied].T  # (n_times, N, k)
     minors = np.ones((len(phases), 1), dtype=complex)  # the one 0-particle minor
     for j in range(1, sector.n_particles + 1):
         sites, rest, sign = _laplace_tables(n, j)

@@ -10,25 +10,25 @@ each sector the state occupies to `evolve.propagate`, which diagonalizes it
 through its eigenvectors below `blas.ONE_THREAD_BELOW` (462) states and
 through its tridiagonal form at or above. Realizations are independent and
 may run on worker threads; aggregation always folds them in
-realization-index order. A worker pool pins OpenBLAS to one thread, so runs
-with two or more workers are bit-identical to each other. A serial run
-follows the thread rule of `blas`: the eigenvector path runs on one thread,
-and the tridiagonal path keeps the library's count. So a serial run whose
-sectors all lie below 462 states is bit-identical to a pooled run;
-otherwise its results can differ from one in the last digits.
+realization-index order. `run_experiment` sets the OpenBLAS thread count
+once for the whole run: one thread for a worker pool, and for a serial run
+whose largest matrix lies below 462 states, so those runs are bit-identical
+to each other; any other serial run keeps the library's count, and its
+results can differ from a pooled run's in the last digits.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .blas import blas_threads, one_blas_thread
+from .blas import ONE_THREAD_BELOW, blas_threads, one_blas_thread
 from .evolve import TimeGrid, propagate, slater_series
 from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from .hilbert import enumerate_sector
@@ -55,6 +55,13 @@ _STATE_FACTORIES: dict[str, Callable] = {
 def _slater(config: ExperimentConfig) -> bool:
     """Whether a run evolves as a Slater determinant: no interaction, basis-state start."""
     return config.chain.g == 0 and config.initial_state in _BASIS_STATES
+
+
+def _largest_matrix(config: ExperimentConfig) -> int:
+    """The dimension of the largest matrix a realization diagonalizes: the
+    N x N one-particle Hamiltonian on the Slater path, else the largest sector."""
+    n = config.chain.n_sites
+    return n if _slater(config) else comb(n, 1 if config.initial_state == "w_state" else n // 2)
 
 
 class MemoryLimitError(ValueError):
@@ -129,11 +136,12 @@ class ExperimentConfig:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         largest = 8 * n**2
         if largest <= memory:
-            d = comb(n, 1 if self.initial_state == "w_state" else n // 2)
-            total = 2**n if self.initial_state == "max_coherent" else d
             if _slater(self):
+                total = comb(n, n // 2)
                 largest = max(largest, 4 * 16 * n_times * total)
             else:
+                d = _largest_matrix(self)
+                total = 2**n if self.initial_state == "max_coherent" else d
                 largest = max(largest, 2 * 16 * n_times * total, 2.7 * 8 * d**2)
             if self.mode == "local":
                 copies = (3 if self.initial_state == "max_coherent" else 2) * total
@@ -165,8 +173,8 @@ class TrajectoryRecord:
     config: ExperimentConfig
     seeds: tuple[int, ...]
     workers: int = 1
-    # OpenBLAS threads that sectors of blas.ONE_THREAD_BELOW states or more
-    # computed under (smaller ones ran on one); None when OpenBLAS is not found
+    # OpenBLAS threads every BLAS call of the run ran under; None when
+    # OpenBLAS is not found
     blas_threads: int | None = None
 
 
@@ -206,19 +214,21 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
 def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRecord:
     """Run all realizations and aggregate disorder statistics.
 
-    With n_workers > 1 the realizations run on a thread pool, each worker's
-    BLAS calls on one thread.
+    With n_workers > 1 the realizations run on a thread pool. OpenBLAS runs
+    on one thread for the whole run when a pool runs or the largest matrix
+    is below `blas.ONE_THREAD_BELOW` states, else at the library's count.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     config.check_memory(n_workers)
     indices = range(config.realizations)
-    if n_workers > 1:
-        with one_blas_thread() as threads, ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda k: _single_trajectory(config, k), indices))
-    else:
-        threads = blas_threads()
-        results = [_single_trajectory(config, k) for k in indices]
+    one_thread = n_workers > 1 or _largest_matrix(config) < ONE_THREAD_BELOW
+    with one_blas_thread() if one_thread else nullcontext(blas_threads()) as threads:
+        if n_workers > 1:
+            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                results = list(pool.map(lambda k: _single_trajectory(config, k), indices))
+        else:
+            results = [_single_trajectory(config, k) for k in indices]
 
     seeds = tuple(seed for seed, _ in results)
     stack = np.stack([rows for _, rows in results])  # (r, T, 3)

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from chainquench import blas
+from chainquench.blas import OpenBLAS
+
 
 def _scipy_openblas():
     """The OpenBLAS bundled with scipy, beside numpy's, or None."""
@@ -49,3 +52,26 @@ def host_with_8_gib(monkeypatch):
     monkeypatch.setattr(
         os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
     )
+
+
+class _CountingOpenBLAS:
+    """Stands in for the library: a thread count and every set call made."""
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self.sets: list[int] = []
+
+    def set(self, count: int) -> None:
+        self.sets.append(count)
+        self.threads = count
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """A library whose thread count is `fake`'s, with the bundled LAPACK routines when found."""
+    fake = _CountingOpenBLAS(threads=2)
+    real = blas.openblas()
+    lapack = {name: getattr(real, name, None) for name in ("sytrd", "stedc")}
+    lib = OpenBLAS("fake", "fake", lambda: fake.threads, fake.set, **lapack)
+    monkeypatch.setattr(blas, "openblas", lambda: lib)
+    return fake

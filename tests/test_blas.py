@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chainquench import blas
-from chainquench.blas import ONE_THREAD_BELOW, OpenBLAS, blas_threads, one_blas_thread, openblas
+from chainquench.blas import ONE_THREAD_BELOW, blas_threads, one_blas_thread, openblas
 from chainquench.evolve import TimeGrid, propagate, slater_series
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
@@ -29,83 +29,41 @@ def two_blas_threads():
         lib.set_num_threads(previous)
 
 
-class _CountingOpenBLAS:
-    """Stands in for the library: a thread count and every set call made."""
-
-    def __init__(self, threads: int):
-        self.threads = threads
-        self.sets: list[int] = []
-
-    def set(self, count: int) -> None:
-        self.sets.append(count)
-        self.threads = count
-
-
-@pytest.fixture
-def counting(monkeypatch):
-    """A library whose thread count is `fake`'s, with the bundled LAPACK routines when found."""
-    fake = _CountingOpenBLAS(threads=2)
-    real = openblas()
-    lapack = {name: getattr(real, name, None) for name in ("sytrd", "stedc")}
-    lib = OpenBLAS("fake", "fake", lambda: fake.threads, fake.set, **lapack)
-    monkeypatch.setattr(blas, "openblas", lambda: lib)
-    return fake
-
-
-@needs_openblas
-@pytest.mark.parametrize("dim", [ONE_THREAD_BELOW - 1, ONE_THREAD_BELOW])
-def test_decompose_runs_eigh_on_one_thread_below_the_dimension(two_blas_threads, monkeypatch, dim):
-    # propagate decomposes H with numpy's eigh below the dimension, and with
-    # dsytrd and dstedc from it on
-    seen = []
-    eigh = np.linalg.eigh
+def _recording_eigh(monkeypatch, fake):
+    """numpy's eigh, logging the fake library's thread count at each call."""
+    seen, eigh = [], np.linalg.eigh
 
     def recording(a):
-        seen.append(blas_threads())
+        seen.append(fake.threads)
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
+    return seen
+
+
+# the run sets the thread count (tests/test_experiment.py); evolve never does
+@needs_openblas
+@pytest.mark.parametrize("dim", [ONE_THREAD_BELOW - 1, ONE_THREAD_BELOW])
+def test_propagate_sets_no_thread_count(counting, monkeypatch, dim):
+    # numpy's eigh below the dimension, dsytrd and dstedc from it on, all at
+    # the caller's count
+    seen = _recording_eigh(monkeypatch, counting)
     propagate(np.diag(np.arange(dim, dtype=float)), np.eye(dim)[0], TimeGrid(0.1, 10.0, 5).times)
-    assert seen == ([1] if dim < ONE_THREAD_BELOW else [])
-    assert blas_threads() == 2
+    assert seen == ([2] if dim < ONE_THREAD_BELOW else [])
+    assert counting.sets == []
+
+
+def test_slater_series_sets_no_thread_count(counting, monkeypatch):
+    seen = _recording_eigh(monkeypatch, counting)
+    slater_series(_hamiltonian(4, 1), enumerate_sector(4, 2), 0b0011, TimeGrid(0.1, 10.0, 5).times)
+    assert seen == [2] and counting.sets == []
 
 
 @needs_openblas
-def test_thread_count_restored_when_decompose_raises(two_blas_threads):
+def test_thread_count_unchanged_when_propagate_raises(two_blas_threads):
     with pytest.raises(np.linalg.LinAlgError, match="eigendecomposition failed for dim=4 matrix"):
         propagate(np.full((4, 4), np.nan), np.eye(4)[0], TimeGrid(0.1, 10.0, 5).times)
     assert blas_threads() == 2
-
-
-def test_rule_lowers_the_count_only_below_the_dimension(counting, monkeypatch):
-    # one eigh and its products run inside a single one-thread block, so a
-    # call sets the count and restores it once; at the dimension no eigh
-    # runs (test_propagate_keeps_the_count_on_the_tridiagonal_path)
-    seen = []
-    eigh = np.linalg.eigh
-
-    def recording(a):
-        seen.append(counting.threads)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    times = TimeGrid(0.1, 10.0, 5).times
-    dim = ONE_THREAD_BELOW - 1
-    propagate(np.diag(np.arange(dim, dtype=float)), np.eye(dim)[0], times)
-    assert seen == [1] and counting.sets == [1, 2]
-    # h is at most 63 x 63: a Slater run's eigh and product run on one thread too
-    slater_series(_hamiltonian(4, 1), enumerate_sector(4, 2), 0b0011, times)
-    assert seen == [1, 1] and counting.sets == [1, 2, 1, 2]
-
-
-def test_rule_sets_nothing_under_one_blas_thread(counting):
-    times = TimeGrid(0.1, 10.0, 5).times
-    with one_blas_thread():
-        counting.sets.clear()
-        propagate(np.diag(np.arange(4, dtype=float)), np.eye(4)[0], times)
-        slater_series(_hamiltonian(4, 1), enumerate_sector(4, 2), 0b0011, times)
-        assert counting.sets == []
-    assert counting.sets == [2]
 
 
 def _hamiltonian(n_sites, n_particles=3):
@@ -227,13 +185,12 @@ def _eigenvector_path(H, amps, times):
 
 def test_propagate_below_the_crossover_is_the_eigenvector_path_bit_for_bit():
     H = _hamiltonian(10, 5)  # D = 252
-    for amps in _states(enumerate_sector(10, 5)).values():
-        with one_blas_thread():
-            expected = _eigenvector_path(H, amps, _TIMES)
-        np.testing.assert_array_equal(propagate(H, amps, _TIMES), expected)
+    with one_blas_thread():  # as a serial run of such sectors computes
+        for amps in _states(enumerate_sector(10, 5)).values():
+            np.testing.assert_array_equal(propagate(H, amps, _TIMES), _eigenvector_path(H, amps, _TIMES))
 
 
-def test_decompose_leaves_h_untouched():
+def test_propagate_below_the_crossover_leaves_h_untouched():
     # below the dimension propagate's eigh only reads H, whatever its order
     H = _hamiltonian(8)
     amps = _states(enumerate_sector(8, 3))["random"]
@@ -250,7 +207,7 @@ def test_decompose_leaves_h_untouched():
         propagate(np.eye(3, dtype=complex), amps[:3], _TIMES)
 
 
-def test_decompose_falls_back_to_numpy_eigh_without_openblas(monkeypatch):
+def test_propagate_falls_back_to_numpy_eigh_without_openblas(monkeypatch):
     # so is every dimension without OpenBLAS, where numpy's eigh runs and H is left as it was
     monkeypatch.setattr(blas, "openblas", lambda: None)
     H = _hamiltonian(11, 5)  # D = 462

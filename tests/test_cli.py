@@ -63,7 +63,8 @@ def test_run_writes_csv_and_manifest(tmp_path):
     assert manifest["format_version"] == MANIFEST_FORMAT_VERSION == 2
     env = manifest["environment"]
     assert env["numpy"] == np.__version__
-    assert env["workers"] == 1 and env["blas_threads"] == blas_threads()
+    # N=6: every matrix is below blas.ONE_THREAD_BELOW, so the run pins one thread
+    assert env["workers"] == 1 and env["blas_threads"] == (1 if openblas() else None)
 
 
 def test_run_is_byte_reproducible(tmp_path):
@@ -83,6 +84,15 @@ def test_pooled_run_records_one_blas_thread(tmp_path):
     assert env["workers"] == 2
     assert env["blas_threads"] == (1 if blas else None)
     assert env["blas_library"] == (blas.library if blas else None)
+
+
+def test_serial_run_from_the_crossover_up_records_the_library_count(tmp_path):
+    # N=12 Neel at g=1 diagonalizes a 924-state sector at the library's count
+    cfg = _write_config(tmp_path, n_sites=12, realizations=1)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    env = json.loads((out / "trajectory.manifest.json").read_text())["environment"]
+    assert env["workers"] == 1 and env["blas_threads"] == blas_threads()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -460,6 +470,12 @@ def test_fit_rejects_nan_trajectory(tmp_path, capfd):
     assert main(["fit", str(path), "--quantity", "P", "--window-low", "0"]) == 2
     captured = capfd.readouterr()
     assert captured.out == "" and "DLASCL" not in captured.err
+    # finite values whose residual sum of squares overflows: no Infinity in the JSON
+    _write_synthetic_csv(path, np.logspace(-1, 3, 61), 1e300 * (-1.0) ** np.arange(61))
+    assert main(["fit", str(path), "--quantity", "P"]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == "" and "residual sum of squares is inf" in captured.err
+    assert "RuntimeWarning" not in captured.err
 
 
 def test_fit_on_generated_localized_run(tmp_path, capsys):

@@ -82,6 +82,9 @@ def test_non_finite_data_in_window_rejected():
     y[-1] = 0.5
     y[0] = np.nan
     assert fit_log(times, y, last_decade(times)).label == "Saturated"
+    # nor may finite values whose residual sum of squares overflows
+    with pytest.raises(ValueError, match="residual sum of squares is inf"):
+        fit_log(times, 1e300 * (-1.0) ** np.arange(len(times)), last_decade(times))
     # nor may a time at or below 0, where log(t) is undefined
     zero_start = np.concatenate([[0.0], times])
     with pytest.raises(ValueError, match="log"):

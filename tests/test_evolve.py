@@ -10,7 +10,7 @@ from chainquench.states import BlockState, max_coherent, neel
 from _oracles import dense_amplitudes, dense_hamiltonian, random_pure_state
 
 
-def test_decompose_pauli_x():
+def test_propagate_gives_pauli_x_eigenvectors_their_phases():
     # Pauli X's eigenvectors (1, +-1)/sqrt(2) only gain the phases of its eigenvalues +-1
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     times = np.array([0.5, 2.0, 9.0])
@@ -65,7 +65,7 @@ def test_composition():
     np.testing.assert_allclose(one_shot, two_step, atol=1e-9)
 
 
-def test_evolve_series_is_time_major():
+def test_propagate_is_time_major():
     # one C-ordered row of amplitudes per time, in the order of the times
     ((sector, amps),) = neel(4).blocks
     params = ChainParams(n_sites=4, J=1.0, W=2.0, g=1.0)

@@ -56,9 +56,9 @@ def test_worker_count_does_not_change_results():
     assert serial.seeds == threaded.seeds
 
 
-# A serial run diagonalizes and propagates sectors below blas.ONE_THREAD_BELOW
-# (462) states on one BLAS thread, as a pool does: N=10 (D=252) runs give the
-# same bits either way, while N=12 Neel (D=924) keeps the default count
+# A serial run whose largest matrix is below blas.ONE_THREAD_BELOW (462)
+# states runs on one BLAS thread, as a pool does: N=10 (D=252) runs give the
+# same bits either way, while N=12 Neel (D=924) keeps the library's count
 needs_openblas = pytest.mark.skipif(openblas() is None, reason="OpenBLAS not found")
 
 
@@ -78,7 +78,7 @@ def test_pooled_run_equals_serial_run_on_one_blas_thread():
 
 
 @needs_openblas
-def test_pooled_run_close_to_default_serial_run():
+def test_pooled_run_equals_default_serial_run():
     config = _small_config(n_sites=10, realizations=2)
     serial = run_experiment(config)
     pooled = run_experiment(config, n_workers=2)
@@ -109,6 +109,45 @@ def test_blas_pin_restored_when_a_realization_raises(monkeypatch):
         run_experiment(_small_config(n_sites=10, realizations=2), n_workers=2)
     assert seen and set(seen) == {1}
     assert blas_threads() == before
+
+
+# serial runs whose largest matrix, h on the Slater path or else the largest
+# sector, lies below blas.ONE_THREAD_BELOW, and two from it up
+_ONE_THREAD_RUNS = {
+    "max_coherent10": dict(n_sites=10, initial_state="max_coherent"),
+    "neel12-g0": dict(n_sites=12, g=0.0),
+}
+_LIBRARY_COUNT_RUNS = {
+    "neel12-g1": dict(n_sites=12),
+    "max_coherent11": dict(n_sites=11, initial_state="max_coherent"),
+}
+
+
+@pytest.mark.parametrize("case", _ONE_THREAD_RUNS)
+def test_serial_run_below_the_crossover_sets_one_thread_once(counting, case):
+    record = run_experiment(_small_config(realizations=2, **_ONE_THREAD_RUNS[case]))
+    assert counting.sets == [1, 2] and record.blas_threads == 1
+
+
+@pytest.mark.parametrize("case", _ONE_THREAD_RUNS)
+def test_serial_pin_restored_when_a_realization_raises(counting, monkeypatch, case):
+    seen = []
+
+    def failing(*args):
+        seen.append(counting.threads)
+        raise RuntimeError("realization failed")
+
+    monkeypatch.setattr(experiment, "global_quantifiers", failing)
+    with pytest.raises(RuntimeError, match="realization failed"):
+        run_experiment(_small_config(realizations=2, **_ONE_THREAD_RUNS[case]))
+    assert seen == [1] and counting.sets == [1, 2]
+
+
+@needs_openblas
+@pytest.mark.parametrize("case", _LIBRARY_COUNT_RUNS)
+def test_serial_run_from_the_crossover_up_keeps_the_library_count(counting, case):
+    record = run_experiment(_small_config(realizations=1, **_LIBRARY_COUNT_RUNS[case]))
+    assert counting.sets == [] and record.blas_threads == 2
 
 
 def test_worker_count_below_one_rejected():

@@ -1,10 +1,10 @@
 """The OpenBLAS that numpy loaded, reached through ctypes.
 
 Each realization worker propagates a sector of `ONE_THREAD_BELOW` states or
-more through two of the library's LAPACKE routines, in place on the
-caller's buffer: the tridiagonal reduction `dsytrd` and the
-divide-and-conquer `dstedc`; `evolve.propagate` applies the reduction's
-reflectors itself, as GEMMs. Smaller sectors go through numpy's `eigh`.
+more through four of the library's LAPACKE routines, in place on the
+caller's buffers: the tridiagonal reduction `dsytrd`, the divide-and-conquer
+`dstedc`, and `dlarft` and `dlarfb`, which form and apply the reduction's
+reflectors as compact-WY blocks. Smaller sectors go through numpy's `eigh`.
 ctypes releases the GIL for each call, so workers diagonalize in parallel.
 OpenBLAS starts its own threads inside every call, so a worker pool on top
 of them oversubscribes the cores; `one_blas_thread` pins OpenBLAS to one
@@ -35,7 +35,7 @@ _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 # up (D=924: 119 vs 71 ms). It is also where `evolve.propagate` leaves the
 # eigenvector path for the tridiagonal one. Its eigendecomposition and
 # propagation of one basis state over 61 times, median ms of 31 alternating
-# pairs, eigenvector path -> tridiagonal path (reflectors as compact-WY GEMMs):
+# pairs, eigenvector path -> tridiagonal path (reflectors as compact-WY blocks):
 #   D          210       252       330        462        495        792       924
 #   1 thread  6.1->6.7  9.3->9.4  16.6->14.9  34.9->27.0  29.5->23.0  98->73  161->114
 #   2 threads 5.3->5.5  7.4->6.9  13.4->11.7  27.5->21.3  31.7->25.1  86->67  127->89
@@ -51,9 +51,9 @@ class OpenBLAS:
     config: str
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
-    # Each LAPACKE routine returns LAPACK's info and takes C-contiguous
-    # float64 arrays. A C buffer read column-major is the transpose, so a
-    # symmetric matrix's own, and the columns LAPACK writes there are rows.
+    # Each LAPACKE routine returns LAPACK's info and takes float64 arrays
+    # whose rows are contiguous. A C buffer read column-major is the transpose,
+    # so a symmetric matrix's own, and the columns LAPACK writes there are rows.
     # (a, d, e, tau): reduces the symmetric `a` to the tridiagonal
     # T = Q^T a Q, its diagonal into `d` and its off-diagonal into `e`, and
     # writes Q's Householder reflectors over `a`, their scales into `tau`
@@ -61,11 +61,17 @@ class OpenBLAS:
     # (d, e, z): the ascending eigenvalues of T over `d`, `e` destroyed, and
     # its eigenvectors into the D x D `z`, one per row
     stedc: Callable[[np.ndarray, np.ndarray, np.ndarray], int]
+    # (v, tau, t): T into the k x k `t`'s upper triangle, where I - V T V^T is
+    # the product of I - tau_j v_j v_j^T, j < k, and v_j is row j of the (k, n)
+    # `v`, whose 1 at column j and 0s before it are taken as read
+    larft: Callable[[np.ndarray, np.ndarray, np.ndarray], int]
+    # (v, t, c, trans): each row x of `c` becomes (I - V T V^T) x, with T^T for b"T"
+    larfb: Callable[[np.ndarray, np.ndarray, np.ndarray, bytes], int]
 
 
 def _ld(a: np.ndarray) -> int:
-    """LAPACK's leading dimension of C-contiguous `a` read column-major: its row length."""
-    return max(a.shape[-1], 1)
+    """LAPACK's leading dimension of row-contiguous `a` read column-major: its row stride."""
+    return max(a.strides[0] // a.itemsize, 1)
 
 
 @functools.cache
@@ -80,9 +86,9 @@ def openblas() -> OpenBLAS | None:
                     getattr(lib, f"{prefix}_{name}{suffix}")
                     for name in ("get_num_threads", "set_num_threads", "get_config")
                 ]
-                dsytrd, dstedc = [
+                dsytrd, dstedc, dlarft, dlarfb = [
                     getattr(lib, f"{prefix.removesuffix('openblas')}LAPACKE_{name}{suffix}")
-                    for name in ("dsytrd", "dstedc")
+                    for name in ("dsytrd", "dstedc", "dlarft", "dlarfb")
                 ]
             except AttributeError:
                 continue
@@ -96,6 +102,8 @@ def openblas() -> OpenBLAS | None:
             for routine, args in (
                 (dsytrd, [char, index, ptr, index, ptr, ptr, ptr]),
                 (dstedc, [char, index, ptr, ptr, ptr, index]),
+                (dlarft, [char, char, index, index, ptr, index, ptr, ptr, index]),
+                (dlarfb, [char] * 4 + [index] * 3 + [ptr, index] * 3),
             ):
                 routine.argtypes, routine.restype = [ctypes.c_int, *args], index
             return OpenBLAS(
@@ -105,6 +113,12 @@ def openblas() -> OpenBLAS | None:
                     d.ctypes.data, e.ctypes.data, tau.ctypes.data),
                 stedc=lambda d, e, z: dstedc(
                     _COL_MAJOR, b"I", len(d), d.ctypes.data, e.ctypes.data, z.ctypes.data, _ld(z)),
+                larft=lambda v, tau, t: dlarft(
+                    _COL_MAJOR, b"F", b"C", v.shape[1], len(t), v.ctypes.data, _ld(v),
+                    tau.ctypes.data, t.ctypes.data, _ld(t)),
+                larfb=lambda v, t, c, trans: dlarfb(
+                    _COL_MAJOR, b"L", trans, b"F", b"C", c.shape[1], len(c), len(t),
+                    v.ctypes.data, _ld(v), t.ctypes.data, _ld(t), c.ctypes.data, _ld(c)),
             )
     return None
 

@@ -4,7 +4,7 @@ Outputs are a trajectory CSV per run plus a JSON manifest that echoes the
 full resolved configuration and the numeric environment (numpy, BLAS and
 thread counts), enough to regenerate the CSV bit for bit. A config whose
 keys, types or values are wrong (every number must be finite), or an output
-directory that lies under a file, exits 2 before any realization starts.
+directory that cannot be made, exits 2 before any realization starts.
 """
 
 from __future__ import annotations
@@ -179,10 +179,21 @@ def write_manifest(path: Path, record: TrajectoryRecord, csv_name: str) -> None:
 
 
 def _check_out_dir(out_dir: Path) -> None:
-    """Raise ConfigError if the nearest existing ancestor of `out_dir` is no directory."""
-    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"--out-dir {out_dir}: {existing} is not a directory")
+    """Raise ConfigError unless `out_dir` is a directory or can be made one; makes none."""
+    missing = []
+    try:
+        missing = [path for path in (out_dir, *out_dir.parents) if not path.is_dir()]
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {out_dir}: {exc}") from exc
+    finally:
+        # innermost first; rmdir removes only empty directories, so only those
+        # made here, and fails on a path that was never made
+        for path in missing:
+            try:
+                path.rmdir()
+            except OSError:
+                pass
 
 
 def _emit(record: TrajectoryRecord, out_dir: Path, stem: str) -> None:
@@ -224,11 +235,11 @@ def _read_trajectory_csv(path: str | Path) -> np.ndarray:
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            missing = [c for c in CSV_HEADER if c not in fields]
-            if missing:
-                raise ConfigError(f"{path} is missing columns {missing}")
-            rows = [[float(row[c]) for c in CSV_HEADER] for row in reader]
+            rows = []
+            for row in reader:  # a missing column has no key, a short row's cells are None
+                if missing := [c for c in CSV_HEADER if row.get(c) is None]:
+                    raise ConfigError(f"{path} line {reader.line_num} has no {missing} cells")
+                rows.append([float(row[c]) for c in CSV_HEADER])
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:

@@ -7,7 +7,7 @@ times. There are two evolution functions, and each runs its own eigensolve.
 and picks its method by the sector's dimension: below
 `blas.ONE_THREAD_BELOW` states it applies numpy's `eigh` eigenvectors,
 leaving H as it was; at or above it, V is never formed, and the Householder
-reflectors of H's tridiagonal reduction, blocked into compact-WY form, go
+reflectors of H's tridiagonal reduction, in LAPACK's compact-WY blocks, go
 onto the 2 n_times propagated columns instead of onto a D x D eigenvector
 matrix, over H's own buffer. `slater_series` needs only the N x N
 one-particle Hamiltonian h: without interaction (g = 0) a basis state stays
@@ -58,7 +58,7 @@ class TimeGrid:
 
 
 # the LAPACKE codes of a NaN in an array argument, which LAPACKE scans first
-_NAN_INFO = {"dsytrd": (-4,), "dstedc": (-4, -5)}
+_NAN_INFO = {"dsytrd": (-4,), "dstedc": (-4, -5), "dlarft": (-6, -8), "dlarfb": (-9, -11, -13)}
 
 
 def _check_info(info: int, routine: str, dim: int) -> None:
@@ -106,48 +106,34 @@ def _complex_rows(product: np.ndarray) -> np.ndarray:
 
 
 # reflectors per compact-WY block: wide enough for GEMM speed, narrow enough
-# that the blocks' zero triangles and T factors stay small
+# that the blocks' T factors stay small
 _WY_BLOCK = 64
 
 
-def _wy_blocks(H: np.ndarray, tau: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def _wy_blocks(lib: blas.OpenBLAS, H: np.ndarray,
+               tau: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Q = H(0) H(1) ... H(D-2) of `dsytrd`'s lower reduction, as blocks (s, V^T, T).
 
     Reflector i is I - tau_i v_i v_i^T, where v_i is 0 up to entry i, 1 at
     i + 1 and row i of H from column i + 2 on. Each block of reflectors
-    s, s + 1, ... multiplies to I - V T V^T on coordinates s + 1 on (Schreiber
-    & Van Loan, SIAM J. Sci. Stat. Comput. 10, 53, 1989), with the
-    unit-upper-triangular solve T = (I + diag(tau) striu(V^T V))^-1 diag(tau)
-    (Joffrain et al., ACM TOMS 32, 169, 2006), so tau = 0 needs no special case.
-    V^T is copied out of H, explicit zeros included, so H may then be overwritten.
+    s, s + 1, ... multiplies to I - V T V^T on coordinates s + 1 on, with T
+    from `dlarft`. V^T is copied out of H, so H may then be overwritten.
     """
     blocks = []
     for s in range(0, len(tau), _WY_BLOCK):
         b = min(_WY_BLOCK, len(tau) - s)
-        lower = np.tri(b, dtype=bool)
-        Vt = H[s:s + b, s + 1:].copy()  # row j: reflector s + j, its 1 in column j
-        Vt[:, :b][lower] = 0
-        Vt[:, :b].flat[::b + 1] = 1
-        G = Vt @ Vt.T
-        G[lower] = 0
-        M = G * tau[s:s + b, None]
-        M.flat[::b + 1] = 1  # I + diag(tau) striu(V^T V)
-        # two half-size solves and their coupling -T_1 V_1^T V_2 T_2 take 0.8 of
-        # one full solve's time
-        h, T = b // 2, np.zeros((b, b))
-        for lo, hi in ((0, h), (h, b)):
-            T[lo:hi, lo:hi] = np.linalg.solve(M[lo:hi, lo:hi], np.diag(tau[s + lo:s + hi]))
-        T[:h, h:] = -(T[:h, :h] @ G[:h, h:]) @ T[h:, h:]
+        Vt = H[s:s + b, s + 1:].copy()  # row j: reflector s + j
+        T = np.zeros((b, b))  # dlarft writes the upper triangle; dlarfb reads all of it
+        _check_info(lib.larft(Vt, tau[s:s + b], T), "dlarft", len(H))
         blocks.append((s, Vt, T))
     return blocks
 
 
-def _reflect(blocks: list[tuple[int, np.ndarray, np.ndarray]], rows: np.ndarray,
-             transpose: bool) -> None:
-    """Q^T x (transpose) or Q x over each row x of `rows`, in place: two GEMMs a block."""
-    for s, Vt, T in blocks if transpose else reversed(blocks):
-        tail = rows[:, s + 1:]
-        tail -= ((tail @ Vt.T) @ (T if transpose else T.T)) @ Vt
+def _reflect(lib: blas.OpenBLAS, blocks: list[tuple[int, np.ndarray, np.ndarray]],
+             rows: np.ndarray, trans: bytes) -> None:
+    """Q^T x (trans b"T") or Q x (b"N") over each row x of `rows`, in place: `dlarfb` a block."""
+    for s, Vt, T in blocks if trans == b"T" else reversed(blocks):
+        _check_info(lib.larfb(Vt, T, rows[:, s + 1:], trans), "dlarfb", rows.shape[1])
 
 
 def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -158,13 +144,13 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     or above it V = Q Z is never formed: LAPACK reduces H in place to the
     tridiagonal T = Q^T H Q (`dsytrd`) and diagonalizes
     T = Z diag(lambda) Z^T (`dstedc`), and Q's Householder reflectors,
-    copied out of H into compact-WY blocks, go onto the 2 real columns of
-    the state and the 2 n_times real columns of
+    copied out of H into compact-WY blocks (`dlarft`), go (`dlarfb`) onto
+    the 2 real columns of the state and the 2 n_times real columns of
     psi(t) = Q Z exp(-i lambda t) Z^T Q^T psi0. That skips the 2 D^3 product
     Q Z. Z overwrites H, so H ends holding it, one eigenvector per row. The
-    call holds H, the blocks (half of H, with their zero triangles and T
-    factors) and `dstedc`'s D^2 workspace. A non-finite propagated column
-    raises LinAlgError. H is copied first unless it is writeable
+    call holds H, the blocks (half of H) and `dstedc`'s D^2 workspace. A
+    non-finite propagated column raises LinAlgError, as LAPACKE's scans
+    find NaN only. H is copied first unless it is writeable
     C-contiguous float64.
     """
     dim = _square_dim(H, "propagate")
@@ -183,9 +169,9 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     H = np.require(H, np.float64, ["C", "W"])
     eigenvalues, e, tau = np.empty(dim), np.empty(dim - 1), np.empty(dim - 1)
     _check_info(lib.sytrd(H, eigenvalues, e, tau), "dsytrd", dim)
-    blocks = _wy_blocks(H, tau)
+    blocks = _wy_blocks(lib, H, tau)
     state = np.array([amplitudes.real, amplitudes.imag], dtype=np.float64)
-    _reflect(blocks, state, transpose=True)
+    _reflect(lib, blocks, state, b"T")
     _check_info(lib.stedc(eigenvalues, e, H), "dstedc", dim)  # Z over H, one per row
     re, im = state @ H.T  # the coefficients Z^T Q^T psi0
     # the (dim, 2 n_times) block Z parts, column-major: C-ordered, it is its transpose
@@ -193,7 +179,7 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
     if not np.isfinite(product).all():
         raise np.linalg.LinAlgError(
             f"eigendecomposition failed for dim={dim} matrix: non-finite propagated amplitudes")
-    _reflect(blocks, product, transpose=False)
+    _reflect(lib, blocks, product, b"N")
     return _complex_rows(product)
 
 

@@ -119,7 +119,7 @@ class ExperimentConfig:
         #   minors (tracemalloc, N=12 and 14 Néel, 200 times: 4.0 of them);
         # - 2.7 dense Hamiltonians of the largest sector unless the run is a
         #   Slater one: H, overwritten by T's eigenvectors, the reflectors'
-        #   compact-WY blocks (half of it, plus zero triangles and T factors)
+        #   compact-WY blocks (half of it, plus their 64 x 64 T factors)
         #   and dstedc's D^2 workspace (ru_maxrss of a child, N=14 Néel,
         #   D=3432: 2.65; below 462 states numpy's eigh takes 6.2-6.7 at
         #   D=252-455, < 10 MB, and is left uncounted);

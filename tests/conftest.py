@@ -54,6 +54,9 @@ def host_with_8_gib(monkeypatch):
     )
 
 
+_LAPACK = ("sytrd", "stedc", "larft", "larfb")
+
+
 class _CountingOpenBLAS:
     """Stands in for the library: a thread count and every set call made."""
 
@@ -71,7 +74,7 @@ def counting(monkeypatch):
     """A library whose thread count is `fake`'s, with the bundled LAPACK routines when found."""
     fake = _CountingOpenBLAS(threads=2)
     real = blas.openblas()
-    lapack = {name: getattr(real, name, None) for name in ("sytrd", "stedc")}
+    lapack = {name: getattr(real, name, None) for name in _LAPACK}
     lib = OpenBLAS("fake", "fake", lambda: fake.threads, fake.set, **lapack)
     monkeypatch.setattr(blas, "openblas", lambda: lib)
     return fake

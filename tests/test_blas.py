@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -230,7 +231,7 @@ def _recording(lib, fake, seen):
 
         return recorded
 
-    return replace(lib, **{name: record(name) for name in ("sytrd", "stedc")})
+    return replace(lib, **{name: record(name) for name in ("sytrd", "larft", "larfb", "stedc")})
 
 
 @needs_openblas
@@ -239,8 +240,9 @@ def test_propagate_keeps_the_count_on_the_tridiagonal_path(counting, monkeypatch
     monkeypatch.setattr(blas, "openblas", lambda lib=_recording(blas.openblas(), counting, seen): lib)
     H, amps = _hamiltonian(11, 5), _states(enumerate_sector(11, 5))["neel"]
     propagate(H.copy(), amps, _TIMES)
-    # the reflectors go on as GEMMs, at the library's count like both routines
-    assert seen == [("sytrd", 2), ("stedc", 2)]
+    # every routine at the library's count: 461 reflectors in 8 compact-WY
+    # blocks, each formed once and applied before and after dstedc
+    assert seen == _tridiagonal_calls(2)
     assert counting.sets == []
     # a pool's workers, already on one thread, never set the count
     seen.clear()
@@ -248,11 +250,18 @@ def test_propagate_keeps_the_count_on_the_tridiagonal_path(counting, monkeypatch
         counting.sets.clear()
         propagate(H.copy(), amps, _TIMES)
         assert counting.sets == []
-    assert seen == [("sytrd", 1), ("stedc", 1)]
+    assert seen == _tridiagonal_calls(1)
+
+
+def _tridiagonal_calls(threads):
+    """The (routine, thread count) calls of one propagate at D=462."""
+    names = ["sytrd", *["larft"] * 8, *["larfb"] * 8, "stedc", *["larfb"] * 8]
+    return [(name, threads) for name in names]
 
 
 @needs_openblas
-@pytest.mark.parametrize("failing,calls", [("sytrd", 1), ("stedc", 1)])
+@pytest.mark.parametrize("failing,calls", [
+    ("sytrd", 1), ("larft", 1), ("larft", 8), ("larfb", 1), ("larfb", 16), ("stedc", 1)])
 @pytest.mark.parametrize("info", [-5, 3])
 def test_propagate_raises_on_any_nonzero_info_and_restores_the_count(
     two_blas_threads, monkeypatch, failing, calls, info
@@ -281,6 +290,48 @@ def test_propagate_nan_entry_is_dsytrd_info_minus_4(two_blas_threads):
     with pytest.raises(np.linalg.LinAlgError, match="dsytrd info=-4 .*NaN entry"):
         propagate(H, _states(enumerate_sector(11, 5))["neel"], _TIMES)
     assert blas_threads() == 2
+
+
+@needs_openblas
+def test_propagate_inf_entry_raises(two_blas_threads):
+    # LAPACKE's scans look for NaN only: dsytrd takes the inf and turns it
+    # into NaN reflectors, which a later routine's scan or the finite check finds
+    H = _hamiltonian(11, 5)
+    H[3, 7] = H[7, 3] = np.inf
+    with pytest.raises(np.linalg.LinAlgError, match="eigendecomposition failed for dim=462 matrix"):
+        propagate(H, _states(enumerate_sector(11, 5))["neel"], _TIMES)
+    assert blas_threads() == 2
+
+
+# with LAPACKE's NaN scans off, a NaN or inf entry at D=462 in a fresh
+# interpreter; the finite check before the back-transform is all that is left
+_UNSCANNED_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from chainquench.evolve import TimeGrid, propagate
+from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
+from chainquench.hilbert import enumerate_sector
+sector = enumerate_sector(11, 5)
+params = ChainParams(n_sites=11, J=1.0, W=2.0, g=1.0)
+for bad in (np.nan, np.inf):
+    H = build_hamiltonian(params, sample_disorder(11, 3), sector)
+    H[3, 7] = H[7, 3] = bad
+    try:
+        propagate(H, np.eye(sector.dim)[0], TimeGrid().times)
+    except np.linalg.LinAlgError as exc:
+        print(exc)
+"""
+
+
+@needs_openblas
+def test_propagate_without_lapacke_nan_scans_still_raises():
+    src = Path(blas.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", _UNSCANNED_SCRIPT, str(src)],
+                         capture_output=True, text=True, check=True, timeout=120,
+                         env={**os.environ, "LAPACKE_NANCHECK": "0"})
+    assert out.stdout.splitlines() == [
+        "eigendecomposition failed for dim=462 matrix: non-finite propagated amplitudes"] * 2
 
 
 @needs_openblas
@@ -340,9 +391,9 @@ def test_propagate_peak_memory_is_h_z_and_the_workspace():
 
 @needs_openblas
 def test_propagate_allocates_no_second_square_array():
-    # numpy's allocations only: the reflectors' compact-WY blocks, half of H
-    # with their zero triangles and T factors (0.7 of H at this D), and the
-    # (n_times, D) phases and products; Z overwrites H, and LAPACKE's own
+    # numpy's allocations only: the reflectors' compact-WY blocks, their V^T
+    # copied out of H and their 64 x 64 T factors (0.7 of H at this D), and
+    # the (n_times, D) phases and products; Z overwrites H, and LAPACK's own
     # workspace is not traced
     H = _hamiltonian(11, 5)  # D = 462
     amps = _states(enumerate_sector(11, 5))["neel"]

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -268,6 +269,22 @@ def test_out_dir_under_a_file_is_rejected_before_any_realization(tmp_path, monke
     assert (tmp_path / "afile").read_text() == ""
 
 
+def test_out_dir_that_cannot_be_made_is_rejected_before_any_realization(
+    tmp_path, monkeypatch, capsys
+):
+    def no_realization(config, index):
+        raise AssertionError("a realization started")
+
+    monkeypatch.setattr(experiment, "_single_trajectory", no_realization)
+    cfg = _write_config(tmp_path, W_values=[2.0], g_values=[0.0, 1.0])
+    out = tmp_path / "new" / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "File name too long" in capsys.readouterr().err
+    # the probe removes the parent it made on the way
+    assert not (tmp_path / "new").exists()
+
+
 @st.composite
 def _configs(draw):
     n_sites = draw(st.integers(2, 8))
@@ -425,10 +442,20 @@ def test_fit_window_flags(tmp_path, capsys):
     assert payload["n_points"] == 46
 
 
-def test_fit_missing_column(tmp_path):
+def test_fit_missing_column(tmp_path, capsys):
+    missing = "has no ['C_sem', 'P_mean', 'P_sem', 'E_mean', 'E_sem'] cells"
     path = tmp_path / "bad.csv"
     path.write_text("t,C_mean\n1.0,0.5\n")
     assert main(["fit", str(path), "--quantity", "P"]) == 2
+    assert f"line 2 {missing}" in capsys.readouterr().err
+    # a short row: its missing cells are missing columns too
+    times = np.logspace(-1, 3, 61)
+    _write_synthetic_csv(path, times, np.full_like(times, 0.5))
+    with open(path, "a") as fh:
+        fh.write("100.0,0.5\n")
+    assert main(["fit", str(path), "--quantity", "P"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"line 63 {missing}" in captured.err
 
 
 def test_fit_rejects_bad_flags(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chainquench import experiment
-from chainquench.blas import blas_threads, one_blas_thread, openblas
+from chainquench.blas import blas_threads, openblas
 from chainquench.evolve import TimeGrid, propagate
 from chainquench.experiment import (
     make_default_config,
@@ -67,22 +67,12 @@ def _fields(record):
 
 
 @needs_openblas
-def test_pooled_run_equals_serial_run_on_one_blas_thread():
-    config = _small_config(n_sites=10, realizations=2)
-    with one_blas_thread():
-        serial = run_experiment(config)
-    pooled = run_experiment(config, n_workers=2)
-    assert serial.blas_threads == pooled.blas_threads == 1
-    for a, b in zip(_fields(serial), _fields(pooled)):
-        assert np.array_equal(a, b)
-
-
-@needs_openblas
 def test_pooled_run_equals_default_serial_run():
     config = _small_config(n_sites=10, realizations=2)
     serial = run_experiment(config)
     pooled = run_experiment(config, n_workers=2)
     assert (serial.workers, pooled.workers) == (1, 2)
+    assert serial.blas_threads == pooled.blas_threads == 1
     for a, b in zip(_fields(serial), _fields(pooled)):
         assert np.array_equal(a, b)
 

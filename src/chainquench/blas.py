@@ -1,14 +1,15 @@
 """The OpenBLAS that numpy loaded, reached through ctypes.
 
-Each realization worker propagates a sector of `ONE_THREAD_BELOW` states or
+`evolve.propagate` runs a sector of `evolve.TRIDIAGONAL_FROM` states or
 more through four of the library's LAPACKE routines, in place on the
 caller's buffers: the tridiagonal reduction `dsytrd`, the divide-and-conquer
 `dstedc`, and `dlarft` and `dlarfb`, which form and apply the reduction's
 reflectors as compact-WY blocks. Smaller sectors go through numpy's `eigh`.
-ctypes releases the GIL for each call, so workers diagonalize in parallel.
-OpenBLAS starts its own threads inside every call, so a worker pool on top
-of them oversubscribes the cores; `one_blas_thread` pins OpenBLAS to one
-thread, and `experiment.run_experiment` decides once per run whether to.
+ctypes releases the GIL for each call, so threads diagonalize in parallel.
+OpenBLAS starts its own threads inside every call, so realization workers,
+or a serial run's sector helpers, on top of them oversubscribe the cores;
+`one_blas_thread` pins OpenBLAS to one thread, and
+`experiment.run_experiment` decides once per run whether to.
 The thread count changes the bits LAPACK returns for large enough
 matrices, so a run records the count it computed under.
 """
@@ -29,19 +30,19 @@ _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
 # A serial run whose matrices all have smaller dimension runs on one OpenBLAS
-# thread. On a 2-core Xeon (OpenBLAS 0.3.31, default 2 threads) a second
-# thread cut eigh's wall time by at most a sixth below it (D=330: 9.2 vs
-# 7.7 ms), for twice the CPU time, by 9-22% at it and by 20-44% from D=495
-# up (D=924: 119 vs 71 ms). It is also where `evolve.propagate` leaves the
-# eigenvector path for the tridiagonal one. Its eigendecomposition and
-# propagation of one basis state over 61 times, median ms of 31 alternating
-# pairs, eigenvector path -> tridiagonal path (reflectors as compact-WY blocks):
+# thread, and propagates a state's sectors on up to as many threads as the
+# library had (`experiment`). On a 2-core Xeon (OpenBLAS 0.3.31, default 2
+# threads) a second thread cut eigh's wall time by at most a sixth below it
+# (D=330: 9.2 vs 7.7 ms), for twice the CPU time, by 9-22% at it and by
+# 20-44% from D=495 up (D=924: 119 vs 71 ms). A sector's eigendecomposition
+# and propagation of one basis state over 61 times, median ms of 31
+# alternating pairs, eigenvector path -> tridiagonal path (reflectors as
+# compact-WY blocks):
 #   D          210       252       330        462        495        792       924
 #   1 thread  6.1->6.7  9.3->9.4  16.6->14.9  34.9->27.0  29.5->23.0  98->73  161->114
 #   2 threads 5.3->5.5  7.4->6.9  13.4->11.7  27.5->21.3  31.7->25.1  86->67  127->89
-# The tridiagonal path wins from D=330 and by 20-30% from this dimension up,
-# but no workload has a sector below it and above 252, and a crossover here
-# keeps every smaller sector's bits.
+# `evolve.propagate` leaves the eigenvector path at its own, lower
+# dimension, `evolve.TRIDIAGONAL_FROM`; this one only sets the thread count.
 ONE_THREAD_BELOW = 462
 
 

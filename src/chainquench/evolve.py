@@ -4,19 +4,18 @@ One eigendecomposition serves the whole time grid: the propagator at any t
 is V exp(-i lambda t) V^dagger, with no step-error accumulation at long
 times. There are two evolution functions, and each runs its own eigensolve.
 `propagate` evolves a state under a many-body sector's dense Hamiltonian
-and picks its method by the sector's dimension: below
-`blas.ONE_THREAD_BELOW` states it applies numpy's `eigh` eigenvectors,
-leaving H as it was; at or above it, V is never formed, and the Householder
-reflectors of H's tridiagonal reduction, in LAPACK's compact-WY blocks, go
-onto the 2 n_times propagated columns instead of onto a D x D eigenvector
-matrix, over H's own buffer. `slater_series` needs only the N x N
-one-particle Hamiltonian h: without interaction (g = 0) a basis state stays
-a Slater determinant, and its amplitudes are minors of the one-particle
-propagator. Both return time-major (n_times, dim) amplitudes over a
-`TimeGrid`'s times. The sector Hamiltonians are real symmetric, so their
-eigenvectors are real, and the real and imaginary parts of a state
-propagate through real products: no complex copy of a D x D matrix is made.
-Neither function changes the OpenBLAS thread count: each runs at the caller's.
+and picks its method by the sector's dimension: below `TRIDIAGONAL_FROM`
+(200) states it applies numpy's `eigh` eigenvectors, leaving H as it was;
+from there up V is never formed, and the Householder reflectors of H's
+tridiagonal reduction, in LAPACK's compact-WY blocks, go onto the 2 n_times
+propagated columns instead of onto a D x D eigenvector matrix, over H's own
+buffer. `slater_series` needs only the N x N one-particle Hamiltonian h:
+without interaction (g = 0) a basis state stays a Slater determinant, and
+its amplitudes are minors of the one-particle propagator. Both return
+time-major (n_times, dim) amplitudes over a `TimeGrid`'s times. The sector
+Hamiltonians are real symmetric, so their eigenvectors are real, and the
+real and imaginary parts of a state propagate through real products: no
+complex copy of a D x D matrix is made. Neither function changes the OpenBLAS thread count: each runs at the caller's.
 """
 
 from __future__ import annotations
@@ -105,6 +104,20 @@ def _complex_rows(product: np.ndarray) -> np.ndarray:
     return series
 
 
+# `propagate` takes the tridiagonal path from this dimension up. Its
+# eigendecomposition and propagation of one basis state over 61 times on a
+# 2-core Xeon (OpenBLAS 0.3.31), median ms of 40 alternating pairs,
+# eigenvector path -> tridiagonal path, and the pairs the tridiagonal path won:
+#   D          45         120        165        210        220        252        330
+#   1 thread   0.62->0.79 2.45->2.79 4.94->4.96 6.99->6.93 8.81->7.98 11.0->9.6  19.7->16.1
+#     won      0/40       2/40       20/40      27/40      37/40      39/40      39/40
+#   2 threads  4.2->11.7  2.46->2.64 4.84->4.55 7.18->6.23 7.96->7.03 10.2->8.5  17.3->14.3
+# The paths tie between D=165 and D=210. From here up a sector holds 2.7
+# D x D arrays, where numpy's eigh holds 6.2-6.7 of them, so two sectors
+# of 210 and 252 states propagated at once take less than eigh on one.
+# Every sector of a chain of up to 9 sites (126 states at most) stays on eigh.
+TRIDIAGONAL_FROM = 200
+
 # reflectors per compact-WY block: wide enough for GEMM speed, narrow enough
 # that the blocks' T factors stay small
 _WY_BLOCK = 64
@@ -139,9 +152,9 @@ def _reflect(lib: blas.OpenBLAS, blocks: list[tuple[int, np.ndarray, np.ndarray]
 def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
     """A sector's amplitudes at every grid time, time-major (n_times, dim); may overwrite H.
 
-    Below `blas.ONE_THREAD_BELOW` states, or when no OpenBLAS is found, this
-    applies the eigenvectors V of numpy's `eigh` and leaves H as it was. At
-    or above it V = Q Z is never formed: LAPACK reduces H in place to the
+    Below `TRIDIAGONAL_FROM` states, or when no OpenBLAS is found, this
+    applies the eigenvectors V of numpy's `eigh` and leaves H as it was. From
+    there up V = Q Z is never formed: LAPACK reduces H in place to the
     tridiagonal T = Q^T H Q (`dsytrd`) and diagonalizes
     T = Z diag(lambda) Z^T (`dstedc`), and Q's Householder reflectors,
     copied out of H into compact-WY blocks (`dlarft`), go (`dlarfb`) onto
@@ -158,7 +171,7 @@ def propagate(H: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.nd
         raise ValueError(f"state has dim {len(amplitudes)}, matrix {dim}")
     amplitudes = np.asarray(amplitudes)
     lib = blas.openblas()
-    if lib is None or dim < blas.ONE_THREAD_BELOW:
+    if lib is None or dim < TRIDIAGONAL_FROM:
         eigenvalues, V = _eigh(H)
         # dim-major phases: this operand order fixes the CSV bits. Time-major
         # ones, V @ phases, move them by up to 4e-15 at D=252 and run no

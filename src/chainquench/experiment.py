@@ -1,26 +1,32 @@
 """Disorder-averaged quench protocol.
 
 For each realization: draw on-site energies, build a Hamiltonian, evolve
-the chosen initial state over the time grid into time-major (n_times, dim)
-blocks, and evaluate the quantifier triple at every time. Without
-interaction (g = 0) a basis state (`neel`, `max_incoherent`) evolves as a
-Slater determinant: `evolve.slater_series` diagonalizes the N x N
-one-particle Hamiltonian. Every other run hands the dense Hamiltonian of
-each sector the state occupies to `evolve.propagate`, which diagonalizes it
-through its eigenvectors below `blas.ONE_THREAD_BELOW` (462) states and
-through its tridiagonal form at or above. Realizations are independent and
-may run on worker threads; aggregation always folds them in
+the chosen initial state over the time grid into one time-major
+(n_times, dim) state, and evaluate the quantifier triple at every time.
+Without interaction (g = 0) a basis state (`neel`, `max_incoherent`)
+evolves as a Slater determinant: `evolve.slater_series` diagonalizes the
+N x N one-particle Hamiltonian. Every other run hands the dense Hamiltonian
+of each sector the state occupies to `evolve.propagate`, which diagonalizes
+it through its eigenvectors below `evolve.TRIDIAGONAL_FROM` (200) states
+and through its tridiagonal form from there up. Realizations are
+independent and may run on worker threads; aggregation always folds them in
 realization-index order. `run_experiment` sets the OpenBLAS thread count
 once for the whole run: one thread for a worker pool, and for a serial run
-whose largest matrix lies below 462 states, so those runs are bit-identical
-to each other; any other serial run keeps the library's count, and its
-results can differ from a pooled run's in the last digits.
+whose largest matrix lies below `blas.ONE_THREAD_BELOW` (462) states, so
+those runs are bit-identical to each other; any other serial run keeps the
+library's count, and its results can differ from a pooled run's in the last
+digits. A serial run on one thread whose state spans several sectors
+(`max_coherent`) propagates each realization's sectors at once instead: on
+the calling thread and up to one helper per further library thread, from a
+pool made once for the run, largest sector first. Each sector writes its own
+columns of the state, so the bits do not depend on which thread ran it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from math import comb
@@ -62,6 +68,14 @@ def _largest_matrix(config: ExperimentConfig) -> int:
     N x N one-particle Hamiltonian on the Slater path, else the largest sector."""
     n = config.chain.n_sites
     return n if _slater(config) else comb(n, 1 if config.initial_state == "w_state" else n // 2)
+
+
+def _sectors_at_once(config: ExperimentConfig, workers: int, library: int | None) -> int:
+    """The sectors one realization propagates at once: one per library thread,
+    up to its sector count, in a serial run on one BLAS thread; else one."""
+    if workers > 1 or library is None or _largest_matrix(config) >= ONE_THREAD_BELOW:
+        return 1
+    return min(library, config.chain.n_sites + 1 if config.initial_state == "max_coherent" else 1)
 
 
 class MemoryLimitError(ValueError):
@@ -114,20 +128,24 @@ class ExperimentConfig:
         # peak memory of one realization's largest step, sized before any
         # array exists, times the realizations that run at once:
         # - two (n_times, D) amplitude arrays on the dense path, over the D
-        #   states of every occupied sector (2^N for max_coherent), and four
-        #   on the Slater path, whose Laplace steps sum products of gathered
-        #   minors (tracemalloc, N=12 and 14 Néel, 200 times: 4.0 of them);
-        # - 2.7 dense Hamiltonians of the largest sector unless the run is a
-        #   Slater one: H, overwritten by T's eigenvectors, the reflectors'
-        #   compact-WY blocks (half of it, plus their 64 x 64 T factors)
-        #   and dstedc's D^2 workspace (ru_maxrss of a child, N=14 Néel,
-        #   D=3432: 2.65; below 462 states numpy's eigh takes 6.2-6.7 at
-        #   D=252-455, < 10 MB, and is left uncounted);
-        # - in local mode, the amplitudes, their concatenation if they span
-        #   several sectors, the gather buffer, one window's matrices and their
-        #   Gram, 3 * 16 n_times 4^w, 16 D bytes of cached plan per window and
-        #   6 more while one is built (tracemalloc, 61 times: 2.02 amplitudes
-        #   for Néel, 3.02 for max_coherent, 3.05 window matrices at w=8).
+        #   states of every occupied sector (2^N for max_coherent), two more
+        #   of the largest sector's for each further sector propagated at once
+        #   (`_sectors_at_once`), and four on the Slater path, whose Laplace
+        #   steps sum products of gathered minors (tracemalloc, N=12 and 14
+        #   Néel, 200 times: 4.0 of them);
+        # - 2.7 dense Hamiltonians of the largest sector for each sector
+        #   propagated at once, unless the run is a Slater one: H, overwritten
+        #   by T's eigenvectors, the reflectors' compact-WY blocks (half of it,
+        #   plus their 64 x 64 T factors) and dstedc's D^2 workspace
+        #   (ru_maxrss of a child, N=14 Néel, D=3432: 2.65); below
+        #   evolve.TRIDIAGONAL_FROM (200) states numpy's eigh takes 6.2-6.7,
+        #   < 2.1 MB, and is left uncounted;
+        # - in local mode, the amplitudes, the gather buffer, one window's
+        #   matrices and their Gram, 3 * 16 n_times 4^w, 16 D bytes of cached
+        #   plan per window and 6 more while one is built (tracemalloc, 61
+        #   times: 2.02 amplitudes for Néel, 3.05 window matrices at w=8),
+        #   with a margin of one more amplitude array for a state of several
+        #   sectors (2.05 measured for max_coherent at N=10, 2000 times).
         # Every run builds an N x N matrix or larger, so 8 N^2 first rules out
         # any N whose comb(N, k) or 2^N would itself take long to compute
         n = self.chain.n_sites
@@ -142,7 +160,9 @@ class ExperimentConfig:
             else:
                 d = _largest_matrix(self)
                 total = 2**n if self.initial_state == "max_coherent" else d
-                largest = max(largest, 2 * 16 * n_times * total, 2.7 * 8 * d**2)
+                sectors = _sectors_at_once(self, workers, blas_threads())
+                largest = max(largest, 2 * 16 * n_times * (total + (sectors - 1) * d),
+                              sectors * 2.7 * 8 * d**2)
             if self.mode == "local":
                 copies = (3 if self.initial_state == "max_coherent" else 2) * total
                 plans = (n - self.window + 7) * total
@@ -183,7 +203,49 @@ def realization_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.ndarray]:
+def _propagated(config: ExperimentConfig, eps: np.ndarray, psi0: BlockState,
+                pool: ThreadPoolExecutor | None, helpers: int) -> BlockState:
+    """psi0 over the time grid, each sector under its own dense Hamiltonian.
+
+    A state of several sectors is propagated into the columns of one array,
+    on this thread and `helpers` tasks of `pool`, which take sectors largest
+    first; an error in any of them is raised here once all have stopped.
+    """
+    times = config.grid.times
+
+    def evolved(sector, amps):
+        # no name holds a Hamiltonian, so each is freed once its sector is propagated
+        return propagate(build_hamiltonian(config.chain, eps, sector), amps, times)
+
+    if len(psi0.sectors) == 1:
+        ((sector, amps),) = psi0.blocks
+        return BlockState(psi0.n_sites, ((sector, evolved(sector, amps)),))
+    psi_t = BlockState.empty(psi0.n_sites, psi0.sectors, times.shape)
+    # (initial block, its columns in psi_t) pairs; equal sizes keep sector order
+    work = deque(sorted(zip(psi0.blocks, psi_t.blocks), key=lambda pair: -pair[0][0].dim))
+
+    def drain() -> None:
+        while True:
+            try:
+                (sector, amps), (_, columns) = work.popleft()
+            except IndexError:
+                return
+            columns[...] = evolved(sector, amps)
+
+    helping = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        work.clear()  # after a failure here, no helper starts another sector
+        wait(helping)
+    for task in helping:
+        task.result()
+    return psi_t
+
+
+def _single_trajectory(config: ExperimentConfig, index: int,
+                       pool: ThreadPoolExecutor | None = None,
+                       helpers: int = 0) -> tuple[int, np.ndarray]:
     seed = realization_seed(config.master_seed, index)
     eps = sample_disorder(config.chain.n_sites, seed)
     psi0 = _STATE_FACTORIES[config.initial_state](config.chain.n_sites)
@@ -192,15 +254,10 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
         ((sector, amps),) = psi0.blocks
         ((m,),) = np.nonzero(amps)
         h = build_hamiltonian(config.chain, eps, enumerate_sector(config.chain.n_sites, 1))
-        blocks = [(sector, amps[m] * slater_series(h, sector, sector.states[m], times))]
+        block = (sector, amps[m] * slater_series(h, sector, sector.states[m], times))
+        psi_t = BlockState(psi0.n_sites, (block,))
     else:
-        # no name holds a Hamiltonian, so each is freed once its sector is
-        # propagated, the last one before the quantifiers run
-        blocks = [
-            (sector, propagate(build_hamiltonian(config.chain, eps, sector), amps, times))
-            for sector, amps in psi0.blocks
-        ]
-    psi_t = BlockState(n_sites=psi0.n_sites, blocks=tuple(blocks))
+        psi_t = _propagated(config, eps, psi0, pool, helpers)
 
     if config.mode == "global":
         trip = global_quantifiers(psi_t)
@@ -217,18 +274,23 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRe
     With n_workers > 1 the realizations run on a thread pool. OpenBLAS runs
     on one thread for the whole run when a pool runs or the largest matrix
     is below `blas.ONE_THREAD_BELOW` states, else at the library's count.
+    A serial run on one thread propagates a realization's sectors on the
+    calling thread and up to one helper thread per further thread the
+    library had.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     config.check_memory(n_workers)
     indices = range(config.realizations)
+    library = blas_threads()  # before the run's own pin
+    helpers = _sectors_at_once(config, n_workers, library) - 1
     one_thread = n_workers > 1 or _largest_matrix(config) < ONE_THREAD_BELOW
-    with one_blas_thread() if one_thread else nullcontext(blas_threads()) as threads:
+    with (one_blas_thread() if one_thread else nullcontext(library) as threads,
+          ThreadPoolExecutor(max_workers=max(n_workers, helpers)) as pool):
         if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(lambda k: _single_trajectory(config, k), indices))
+            results = list(pool.map(lambda k: _single_trajectory(config, k), indices))
         else:
-            results = [_single_trajectory(config, k) for k in indices]
+            results = [_single_trajectory(config, k, pool, helpers) for k in indices]
 
     seeds = tuple(seed for seed, _ in results)
     stack = np.stack([rows for _, rows in results])  # (r, T, 3)

@@ -89,7 +89,7 @@ def global_quantifiers(psi: BlockState) -> QuantifierTriple:
     """
     _check_norm(psi)
     d = 1 << psi.n_sites
-    s1 = np.concatenate([np.abs(amps) for _, amps in psi.blocks], axis=-1).sum(axis=-1)
+    s1 = np.abs(psi.amplitudes).sum(axis=-1)
     scale = d - 1
     return QuantifierTriple(C=(s1 * s1 - 1.0) / scale, P=(d - s1 * s1) / scale, E=0.0)
 
@@ -133,11 +133,10 @@ def _window_matrices(psi: BlockState, width: int, firsts: Iterable[int]) -> Iter
     """Each window's (..., 2^w, 2^w) density matrix in turn, from the sector blocks:
     x x^T + y y^T + i (y x^T - x y^T) for each group's gathered parts x, y."""
     _check_norm(psi)
-    parts = [np.asarray(amps, dtype=complex).reshape(-1, sector.dim).view(np.float64)
-             for sector, amps in psi.blocks]
-    columns = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    amps = np.asarray(psi.amplitudes, dtype=complex)
+    columns = amps.reshape(-1, amps.shape[-1]).view(np.float64)
     buffer = np.empty(columns.shape)
-    counts = tuple(sector.n_particles for sector, _ in psi.blocks)
+    counts = tuple(sector.n_particles for sector in psi.sectors)
     d = 1 << width
     for first in firsts:
         index, groups = _gather_plan(psi.n_sites, counts, first, width)

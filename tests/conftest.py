@@ -45,6 +45,18 @@ def scipy_blas_on_one_thread():
 
 
 @pytest.fixture
+def two_blas_threads():
+    """The bundled OpenBLAS on 2 threads, restored afterwards."""
+    lib = blas.openblas()
+    previous = lib.get_num_threads()
+    lib.set_num_threads(2)
+    try:
+        yield
+    finally:
+        lib.set_num_threads(previous)
+
+
+@pytest.fixture
 def host_with_8_gib(monkeypatch):
     """The memory guard sees 8 GiB of physical memory, whatever the host has."""
     sysconf = os.sysconf

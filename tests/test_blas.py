@@ -10,24 +10,12 @@ import pytest
 
 from chainquench import blas
 from chainquench.blas import ONE_THREAD_BELOW, blas_threads, one_blas_thread, openblas
-from chainquench.evolve import TimeGrid, propagate, slater_series
+from chainquench.evolve import TRIDIAGONAL_FROM, TimeGrid, propagate, slater_series
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
 from chainquench.states import max_coherent, neel
 
 needs_openblas = pytest.mark.skipif(openblas() is None, reason="OpenBLAS not found")
-
-
-@pytest.fixture
-def two_blas_threads():
-    """The bundled OpenBLAS on 2 threads, restored afterwards."""
-    lib = openblas()
-    previous = lib.get_num_threads()
-    lib.set_num_threads(2)
-    try:
-        yield
-    finally:
-        lib.set_num_threads(previous)
 
 
 def _recording_eigh(monkeypatch, fake):
@@ -46,12 +34,31 @@ def _recording_eigh(monkeypatch, fake):
 @needs_openblas
 @pytest.mark.parametrize("dim", [ONE_THREAD_BELOW - 1, ONE_THREAD_BELOW])
 def test_propagate_sets_no_thread_count(counting, monkeypatch, dim):
-    # numpy's eigh below the dimension, dsytrd and dstedc from it on, all at
-    # the caller's count
+    # on either side of the run's thread rule propagate takes the tridiagonal
+    # path, whose dsytrd and dstedc run at the caller's count
     seen = _recording_eigh(monkeypatch, counting)
     propagate(np.diag(np.arange(dim, dtype=float)), np.eye(dim)[0], TimeGrid(0.1, 10.0, 5).times)
-    assert seen == ([2] if dim < ONE_THREAD_BELOW else [])
+    assert seen == []
     assert counting.sets == []
+
+
+@needs_openblas
+@pytest.mark.parametrize("dim", [TRIDIAGONAL_FROM - 1, TRIDIAGONAL_FROM])
+def test_propagate_takes_the_tridiagonal_path_from_its_crossover(counting, monkeypatch, dim):
+    rng = np.random.default_rng(dim)
+    A = rng.normal(size=(dim, dim))
+    H = A + A.T
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    expected = _without_openblas(monkeypatch, H, amps)
+    seen = _recording_eigh(monkeypatch, counting)
+    kept = H.copy()
+    series = propagate(H, amps, _TIMES)
+    if dim < TRIDIAGONAL_FROM:  # numpy's eigh, which leaves H as it was
+        assert seen == [2] and np.array_equal(H, kept)
+        np.testing.assert_array_equal(series, expected)
+    else:  # dsytrd and dstedc, which leave the eigenvectors in H
+        assert seen == [] and not np.array_equal(H, kept)
+        np.testing.assert_allclose(series, expected, rtol=0, atol=1e-12)
 
 
 def test_slater_series_sets_no_thread_count(counting, monkeypatch):
@@ -185,9 +192,9 @@ def _eigenvector_path(H, amps, times):
 
 
 def test_propagate_below_the_crossover_is_the_eigenvector_path_bit_for_bit():
-    H = _hamiltonian(10, 5)  # D = 252
+    H = _hamiltonian(9, 4)  # D = 126
     with one_blas_thread():  # as a serial run of such sectors computes
-        for amps in _states(enumerate_sector(10, 5)).values():
+        for amps in _states(enumerate_sector(9, 4)).values():
             np.testing.assert_array_equal(propagate(H, amps, _TIMES), _eigenvector_path(H, amps, _TIMES))
 
 
@@ -358,16 +365,16 @@ _PROPAGATE_PEAK_SCRIPT = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from chainquench import blas
+from chainquench import evolve
 from chainquench.evolve import TimeGrid, propagate
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
 params = ChainParams(n_sites=12, J=1.0, W=2.0, g=1.0)
 eps = sample_disorder(12, 1)
 times = TimeGrid().times
-crossover, blas.ONE_THREAD_BELOW = blas.ONE_THREAD_BELOW, 1
+crossover, evolve.TRIDIAGONAL_FROM = evolve.TRIDIAGONAL_FROM, 1
 propagate(build_hamiltonian(params, eps, enumerate_sector(12, 1)), np.eye(12)[0], times)
-blas.ONE_THREAD_BELOW = crossover
+evolve.TRIDIAGONAL_FROM = crossover
 sector = enumerate_sector(12, 6)
 amps = np.eye(sector.dim)[0]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -1,10 +1,14 @@
+import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chainquench import experiment
-from chainquench.blas import blas_threads, openblas
+from chainquench.blas import blas_threads, one_blas_thread, openblas
+from chainquench.cli import config_to_dict, main
 from chainquench.evolve import TimeGrid, propagate
 from chainquench.experiment import (
     make_default_config,
@@ -138,6 +142,107 @@ def test_serial_pin_restored_when_a_realization_raises(counting, monkeypatch, ca
 def test_serial_run_from_the_crossover_up_keeps_the_library_count(counting, case):
     record = run_experiment(_small_config(realizations=1, **_LIBRARY_COUNT_RUNS[case]))
     assert counting.sets == [] and record.blas_threads == 2
+
+
+# A serial run on one BLAS thread whose state spans several sectors
+# propagates each realization's sectors on the calling thread and one helper
+# per further thread the library had before the run pinned it
+def _propagating_threads(monkeypatch, helped=False):
+    """The threads experiment.propagate runs on, one entry per call. With
+    `helped`, the calling thread waits until a helper has taken a sector."""
+    seen, real, taken = [], experiment.propagate, threading.Event()
+
+    def recorded(*args):
+        seen.append(threading.get_ident())
+        if threading.current_thread() is not threading.main_thread():
+            taken.set()
+        elif helped:
+            assert taken.wait(timeout=30)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "propagate", recorded)
+    return seen
+
+
+@needs_openblas
+def test_sector_helpers_change_no_bits(two_blas_threads, monkeypatch):
+    config = _small_config(n_sites=10, initial_state="max_coherent", mode="local", window=2,
+                           realizations=2)
+    seen = _propagating_threads(monkeypatch, helped=True)
+    helped = run_experiment(config)
+    assert len(seen) == 22 and len(set(seen)) == 2 and helped.blas_threads == 1
+    monkeypatch.undo()
+    seen = _propagating_threads(monkeypatch)
+    with one_blas_thread():  # the library count is 1, so no helpers
+        alone = run_experiment(config)
+    assert set(seen) == {threading.get_ident()}
+    pooled = run_experiment(config, n_workers=2)
+    assert blas_threads() == 2
+    for a, b, c in zip(_fields(helped), _fields(alone), _fields(pooled)):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+# (config, workers, library count, threads a realization propagates on)
+_HELPER_CASES = {
+    "max_coherent8": (dict(n_sites=8, initial_state="max_coherent"), 1, 2, 2),
+    "pooled": (dict(n_sites=8, initial_state="max_coherent"), 2, 2, 1),
+    "one-library-thread": (dict(n_sites=8, initial_state="max_coherent"), 1, 1, 1),
+    "one-sector": (dict(n_sites=10), 1, 2, 1),
+    "from-462": (dict(n_sites=11, initial_state="max_coherent"), 1, 2, 1),
+}
+
+
+@pytest.mark.parametrize("case", _HELPER_CASES)
+def test_sector_helpers_only_for_a_serial_multisector_run_below_462(counting, monkeypatch, case):
+    overrides, workers, library, threads = _HELPER_CASES[case]
+    counting.threads = library
+    config = _small_config(realizations=1, **overrides)
+    assert experiment._sectors_at_once(config, workers, library) == threads
+    seen = _propagating_threads(monkeypatch, helped=threads > 1)
+    run_experiment(config, n_workers=workers)
+    assert len(set(seen)) == threads
+
+
+def test_many_sector_helpers_propagate_each_sector_once(counting, monkeypatch):
+    # 8 helpers for 9 sectors on fewer cores, switching threads every microsecond
+    config = _small_config(n_sites=8, initial_state="max_coherent", realizations=2)
+    with one_blas_thread():
+        alone = run_experiment(config)
+    counting.threads = 9
+    seen = _propagating_threads(monkeypatch, helped=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        helped = run_experiment(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 18 and len(set(seen)) > 1
+    for a, b in zip(_fields(helped), _fields(alone)):
+        assert np.array_equal(a, b)
+
+
+@needs_openblas
+def test_a_helpers_failure_reaches_the_caller(two_blas_threads, monkeypatch, tmp_path, capsys):
+    real, helper_failed = experiment.propagate, threading.Event()
+
+    def failing_on_a_helper(*args):
+        if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            raise np.linalg.LinAlgError("eigendecomposition failed for dim=0 matrix: injected")
+        helper_failed.wait(timeout=30)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "propagate", failing_on_a_helper)
+    config = _small_config(n_sites=8, initial_state="max_coherent", realizations=2)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        run_experiment(config)
+    assert helper_failed.is_set() and blas_threads() == 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(config)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 3
+    assert "injected" in capsys.readouterr().err
+    assert blas_threads() == 2 and not out.exists()
 
 
 def test_worker_count_below_one_rejected():
@@ -365,6 +470,28 @@ def test_memory_guard_counts_concurrent_realizations(host_with_8_gib, monkeypatc
     with pytest.raises(experiment.MemoryLimitError):
         run_sweep(replace(config, chain=replace(config.chain, g=0.0)), [2.0], [0.0, 1.0],
                   n_workers=3)
+
+
+def test_memory_guard_counts_the_sectors_propagated_at_once(host_with_8_gib, counting, monkeypatch):
+    def no_realization(*args):
+        raise AssertionError("a realization started")
+
+    monkeypatch.setattr(experiment, "_single_trajectory", no_realization)
+    # max_coherent N=10 at 230 000 times: two arrays of 16 * n_times * 2**10
+    # bytes (7.5 GB), and two of the largest sector's 252 columns more for
+    # each sector propagated beside the first (9.4 GB with one helper)
+    grid = TimeGrid(n_points=230_000)
+    counting.threads = 1
+    config = make_default_config(n_sites=10, initial_state="max_coherent", grid=grid)
+    counting.threads = 2
+    with pytest.raises(experiment.MemoryLimitError, match="physical memory"):
+        config.check_memory()
+    with pytest.raises(experiment.MemoryLimitError):
+        run_experiment(config)  # before any realization starts
+    with pytest.raises(experiment.MemoryLimitError):
+        make_default_config(n_sites=10, initial_state="max_coherent", grid=grid)
+    # N=10 Neel is one sector, propagated alone whatever the library count
+    make_default_config(n_sites=10, grid=TimeGrid(n_points=10**6))  # 8.1 GB
 
 
 @pytest.mark.parametrize("n_sites", range(4, 9))

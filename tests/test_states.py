@@ -91,6 +91,31 @@ def test_from_dense_rejects_bad_length():
 
 
 
+def test_blocks_are_views_of_one_c_ordered_array():
+    rng = np.random.default_rng(5)
+    sectors = [enumerate_sector(5, k) for k in (3, 1, 2)]  # out of count order
+    # time-major blocks that are not C-ordered: Fortran order, and every other column
+    parts = [np.asfortranarray(rng.normal(size=(4, sectors[0].dim))),
+             rng.normal(size=(4, 2 * sectors[1].dim))[:, ::2],
+             rng.normal(size=(4, sectors[2].dim)) + 1j]
+    psi = BlockState(n_sites=5, blocks=zip(sectors, parts))
+    assert psi.amplitudes.shape == (4, 5 + 10 + 10) and psi.amplitudes.flags.c_contiguous
+    assert psi.sectors == tuple(sectors) and psi.time_shape == (4,)
+    for (sector, amps), sector_in, part in zip(psi.blocks, sectors, parts):
+        assert sector is sector_in and np.shares_memory(amps, psi.amplitudes)
+        assert np.array_equal(amps, part)
+    # a single C-ordered block is held as given
+    amps = np.ones((4, 20), dtype=complex)
+    assert BlockState(n_sites=6, blocks=((enumerate_sector(6, 3), amps),)).amplitudes is amps
+    # a state made empty is written through its blocks
+    empty = BlockState.empty(5, sectors, (4,))
+    for (_, amps), part in zip(empty.blocks, parts):
+        amps[...] = part
+    assert np.array_equal(empty.amplitudes, psi.amplitudes)
+    with pytest.raises(ValueError, match="at least one block"):
+        BlockState(n_sites=5, blocks=())
+
+
 def _block(n_sites, n_particles, shape=None):
     """A block of the (n_sites, n_particles) sector with uniform amplitudes,
     shaped (dim,) unless `shape` is given."""

@@ -16,10 +16,11 @@ whose largest matrix lies below `blas.ONE_THREAD_BELOW` (462) states, so
 those runs are bit-identical to each other; any other serial run keeps the
 library's count, and its results can differ from a pooled run's in the last
 digits. A serial run on one thread whose state spans several sectors
-(`max_coherent`) propagates each realization's sectors at once instead: on
-the calling thread and up to one helper per further library thread, from a
-pool made once for the run, largest sector first. Each sector writes its own
-columns of the state, so the bits do not depend on which thread ran it.
+(`max_coherent`) and whose library had more than one thread propagates each
+realization's sectors two at a time instead: on the calling thread and one
+helper from a pool made once for the run, largest sector first. Each sector
+writes its own columns of the state, so the bits do not depend on which
+thread ran it.
 """
 
 from __future__ import annotations
@@ -71,11 +72,17 @@ def _largest_matrix(config: ExperimentConfig) -> int:
 
 
 def _sectors_at_once(config: ExperimentConfig, workers: int, library: int | None) -> int:
-    """The sectors one realization propagates at once: one per library thread,
-    up to its sector count, in a serial run on one BLAS thread; else one."""
-    if workers > 1 or library is None or _largest_matrix(config) >= ONE_THREAD_BELOW:
+    """The sectors one realization propagates at once: two, on the calling
+    thread and one helper, in a serial run on one BLAS thread whose state spans
+    several sectors and whose library had more than one thread; else one.
+
+    Only the caller and one helper have been measured (on 2 cores), so a
+    library of more threads takes no more helpers: each would touch an
+    OpenBLAS buffer of its own, 3.5-4 MiB."""
+    if (workers > 1 or library is None or library < 2 or config.initial_state != "max_coherent"
+            or _largest_matrix(config) >= ONE_THREAD_BELOW):
         return 1
-    return min(library, config.chain.n_sites + 1 if config.initial_state == "max_coherent" else 1)
+    return 2
 
 
 class MemoryLimitError(ValueError):
@@ -129,15 +136,15 @@ class ExperimentConfig:
         # array exists, times the realizations that run at once:
         # - two (n_times, D) amplitude arrays on the dense path, over the D
         #   states of every occupied sector (2^N for max_coherent), two more
-        #   of the largest sector's for each further sector propagated at once
-        #   (`_sectors_at_once`), and four on the Slater path, whose Laplace
-        #   steps sum products of gathered minors (tracemalloc, N=12 and 14
-        #   Néel, 200 times: 4.0 of them);
-        # - 2.7 dense Hamiltonians of the largest sector for each sector
-        #   propagated at once, unless the run is a Slater one: H, overwritten
-        #   by T's eigenvectors, the reflectors' compact-WY blocks (half of it,
-        #   plus their 64 x 64 T factors) and dstedc's D^2 workspace
-        #   (ru_maxrss of a child, N=14 Néel, D=3432: 2.65); below
+        #   over the second largest sector when a helper propagates it beside
+        #   the largest (`_sectors_at_once`), and four on the Slater path,
+        #   whose Laplace steps sum products of gathered minors (tracemalloc,
+        #   N=12 and 14 Néel, 200 times: 4.0 of them);
+        # - 2.7 dense Hamiltonians of the largest sector, and of the second
+        #   largest beside it on a helper, unless the run is a Slater one: H,
+        #   overwritten by T's eigenvectors, the reflectors' compact-WY blocks
+        #   (half of it, plus their 64 x 64 T factors) and dstedc's D^2
+        #   workspace (ru_maxrss of a child, N=14 Néel, D=3432: 2.65); below
         #   evolve.TRIDIAGONAL_FROM (200) states numpy's eigh takes 6.2-6.7,
         #   < 2.1 MB, and is left uncounted;
         # - in local mode, the amplitudes, the gather buffer, one window's
@@ -160,9 +167,10 @@ class ExperimentConfig:
             else:
                 d = _largest_matrix(self)
                 total = 2**n if self.initial_state == "max_coherent" else d
-                sectors = _sectors_at_once(self, workers, blas_threads())
-                largest = max(largest, 2 * 16 * n_times * (total + (sectors - 1) * d),
-                              sectors * 2.7 * 8 * d**2)
+                helped = _sectors_at_once(self, workers, blas_threads()) > 1
+                beside = comb(n, (n - 1) // 2) if helped else 0
+                largest = max(largest, 2 * 16 * n_times * (total + beside),
+                              2.7 * 8 * (d**2 + beside**2))
             if self.mode == "local":
                 copies = (3 if self.initial_state == "max_coherent" else 2) * total
                 plans = (n - self.window + 7) * total
@@ -204,12 +212,13 @@ def realization_seed(master_seed: int, index: int) -> int:
 
 
 def _propagated(config: ExperimentConfig, eps: np.ndarray, psi0: BlockState,
-                pool: ThreadPoolExecutor | None, helpers: int) -> BlockState:
+                helper: ThreadPoolExecutor | None) -> BlockState:
     """psi0 over the time grid, each sector under its own dense Hamiltonian.
 
     A state of several sectors is propagated into the columns of one array,
-    on this thread and `helpers` tasks of `pool`, which take sectors largest
-    first; an error in any of them is raised here once all have stopped.
+    on this thread and, given a `helper` pool, on one task of it; both take
+    sectors largest first, and an error in either is raised here once both
+    have stopped.
     """
     times = config.grid.times
 
@@ -232,7 +241,7 @@ def _propagated(config: ExperimentConfig, eps: np.ndarray, psi0: BlockState,
                 return
             columns[...] = evolved(sector, amps)
 
-    helping = [pool.submit(drain) for _ in range(helpers)]
+    helping = [] if helper is None else [helper.submit(drain)]
     try:
         drain()
     finally:
@@ -244,8 +253,7 @@ def _propagated(config: ExperimentConfig, eps: np.ndarray, psi0: BlockState,
 
 
 def _single_trajectory(config: ExperimentConfig, index: int,
-                       pool: ThreadPoolExecutor | None = None,
-                       helpers: int = 0) -> tuple[int, np.ndarray]:
+                       helper: ThreadPoolExecutor | None = None) -> tuple[int, np.ndarray]:
     seed = realization_seed(config.master_seed, index)
     eps = sample_disorder(config.chain.n_sites, seed)
     psi0 = _STATE_FACTORIES[config.initial_state](config.chain.n_sites)
@@ -257,7 +265,7 @@ def _single_trajectory(config: ExperimentConfig, index: int,
         block = (sector, amps[m] * slater_series(h, sector, sector.states[m], times))
         psi_t = BlockState(psi0.n_sites, (block,))
     else:
-        psi_t = _propagated(config, eps, psi0, pool, helpers)
+        psi_t = _propagated(config, eps, psi0, helper)
 
     if config.mode == "global":
         trip = global_quantifiers(psi_t)
@@ -275,22 +283,22 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRe
     on one thread for the whole run when a pool runs or the largest matrix
     is below `blas.ONE_THREAD_BELOW` states, else at the library's count.
     A serial run on one thread propagates a realization's sectors on the
-    calling thread and up to one helper thread per further thread the
-    library had.
+    calling thread and one helper thread when the library had more than one.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     config.check_memory(n_workers)
     indices = range(config.realizations)
     library = blas_threads()  # before the run's own pin
-    helpers = _sectors_at_once(config, n_workers, library) - 1
+    helped = _sectors_at_once(config, n_workers, library) > 1
     one_thread = n_workers > 1 or _largest_matrix(config) < ONE_THREAD_BELOW
     with (one_blas_thread() if one_thread else nullcontext(library) as threads,
-          ThreadPoolExecutor(max_workers=max(n_workers, helpers)) as pool):
+          ThreadPoolExecutor(max_workers=n_workers) as pool):
         if n_workers > 1:
             results = list(pool.map(lambda k: _single_trajectory(config, k), indices))
-        else:
-            results = [_single_trajectory(config, k, pool, helpers) for k in indices]
+        else:  # a pool of one thread, the sector helper if the run takes one
+            helper = pool if helped else None
+            results = [_single_trajectory(config, k, helper) for k in indices]
 
     seeds = tuple(seed for seed, _ in results)
     stack = np.stack([rows for _, rows in results])  # (r, T, 3)

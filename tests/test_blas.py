@@ -32,13 +32,15 @@ def _recording_eigh(monkeypatch, fake):
 
 # the run sets the thread count (tests/test_experiment.py); evolve never does
 @needs_openblas
-@pytest.mark.parametrize("dim", [ONE_THREAD_BELOW - 1, ONE_THREAD_BELOW])
+@pytest.mark.parametrize(
+    "dim", [TRIDIAGONAL_FROM - 1, TRIDIAGONAL_FROM, ONE_THREAD_BELOW - 1, ONE_THREAD_BELOW]
+)
 def test_propagate_sets_no_thread_count(counting, monkeypatch, dim):
-    # on either side of the run's thread rule propagate takes the tridiagonal
-    # path, whose dsytrd and dstedc run at the caller's count
+    # numpy's eigh below propagate's crossover, dsytrd and dstedc from it on,
+    # on either side of the run's thread rule too, all at the caller's count
     seen = _recording_eigh(monkeypatch, counting)
     propagate(np.diag(np.arange(dim, dtype=float)), np.eye(dim)[0], TimeGrid(0.1, 10.0, 5).times)
-    assert seen == []
+    assert seen == ([2] if dim < TRIDIAGONAL_FROM else [])
     assert counting.sets == []
 
 
@@ -53,6 +55,7 @@ def test_propagate_takes_the_tridiagonal_path_from_its_crossover(counting, monke
     seen = _recording_eigh(monkeypatch, counting)
     kept = H.copy()
     series = propagate(H, amps, _TIMES)
+    assert counting.sets == []
     if dim < TRIDIAGONAL_FROM:  # numpy's eigh, which leaves H as it was
         assert seen == [2] and np.array_equal(H, kept)
         np.testing.assert_array_equal(series, expected)

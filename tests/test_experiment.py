@@ -146,7 +146,7 @@ def test_serial_run_from_the_crossover_up_keeps_the_library_count(counting, case
 
 # A serial run on one BLAS thread whose state spans several sectors
 # propagates each realization's sectors on the calling thread and one helper
-# per further thread the library had before the run pinned it
+# when the library had more than one thread before the run pinned it
 def _propagating_threads(monkeypatch, helped=False):
     """The threads experiment.propagate runs on, one entry per call. With
     `helped`, the calling thread waits until a helper has taken a sector."""
@@ -185,6 +185,7 @@ def test_sector_helpers_change_no_bits(two_blas_threads, monkeypatch):
 # (config, workers, library count, threads a realization propagates on)
 _HELPER_CASES = {
     "max_coherent8": (dict(n_sites=8, initial_state="max_coherent"), 1, 2, 2),
+    "nine-library-threads": (dict(n_sites=8, initial_state="max_coherent"), 1, 9, 2),
     "pooled": (dict(n_sites=8, initial_state="max_coherent"), 2, 2, 1),
     "one-library-thread": (dict(n_sites=8, initial_state="max_coherent"), 1, 1, 1),
     "one-sector": (dict(n_sites=10), 1, 2, 1),
@@ -203,12 +204,11 @@ def test_sector_helpers_only_for_a_serial_multisector_run_below_462(counting, mo
     assert len(set(seen)) == threads
 
 
-def test_many_sector_helpers_propagate_each_sector_once(counting, monkeypatch):
-    # 8 helpers for 9 sectors on fewer cores, switching threads every microsecond
+def test_the_sector_helper_propagates_each_sector_once(counting, monkeypatch):
+    # 9 sectors on the caller and one helper, switching threads every microsecond
     config = _small_config(n_sites=8, initial_state="max_coherent", realizations=2)
     with one_blas_thread():
         alone = run_experiment(config)
-    counting.threads = 9
     seen = _propagating_threads(monkeypatch, helped=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -216,7 +216,7 @@ def test_many_sector_helpers_propagate_each_sector_once(counting, monkeypatch):
         helped = run_experiment(config)
     finally:
         sys.setswitchinterval(interval)
-    assert len(seen) == 18 and len(set(seen)) > 1
+    assert len(seen) == 18 and len(set(seen)) == 2
     for a, b in zip(_fields(helped), _fields(alone)):
         assert np.array_equal(a, b)
 
@@ -478,18 +478,22 @@ def test_memory_guard_counts_the_sectors_propagated_at_once(host_with_8_gib, cou
 
     monkeypatch.setattr(experiment, "_single_trajectory", no_realization)
     # max_coherent N=10 at 230 000 times: two arrays of 16 * n_times * 2**10
-    # bytes (7.5 GB), and two of the largest sector's 252 columns more for
-    # each sector propagated beside the first (9.4 GB with one helper)
+    # bytes (7.5 GB), and two of the second largest sector's 210 columns more
+    # when a helper propagates it beside the largest (9.1 GB)
     grid = TimeGrid(n_points=230_000)
     counting.threads = 1
     config = make_default_config(n_sites=10, initial_state="max_coherent", grid=grid)
-    counting.threads = 2
-    with pytest.raises(experiment.MemoryLimitError, match="physical memory"):
-        config.check_memory()
-    with pytest.raises(experiment.MemoryLimitError):
-        run_experiment(config)  # before any realization starts
-    with pytest.raises(experiment.MemoryLimitError):
-        make_default_config(n_sites=10, initial_state="max_coherent", grid=grid)
+    for library in (2, 11):  # one helper, however many threads the library has
+        counting.threads = library
+        with pytest.raises(experiment.MemoryLimitError, match="physical memory"):
+            config.check_memory()
+        with pytest.raises(experiment.MemoryLimitError):
+            run_experiment(config)  # before any realization starts
+        with pytest.raises(experiment.MemoryLimitError):
+            make_default_config(n_sites=10, initial_state="max_coherent", grid=grid)
+        # 8.3 GB at 210 000 times; ten helpers' 252 columns would be 23.8 GB
+        make_default_config(n_sites=10, initial_state="max_coherent",
+                            grid=TimeGrid(n_points=210_000))
     # N=10 Neel is one sector, propagated alone whatever the library count
     make_default_config(n_sites=10, grid=TimeGrid(n_points=10**6))  # 8.1 GB
 

@@ -7,7 +7,7 @@ caller's buffers: the tridiagonal reduction `dsytrd`, the divide-and-conquer
 reflectors as compact-WY blocks. Smaller sectors go through numpy's `eigh`.
 ctypes releases the GIL for each call, so threads diagonalize in parallel.
 OpenBLAS starts its own threads inside every call, so realization workers,
-or a serial run's sector helpers, on top of them oversubscribe the cores;
+or a serial run's realization helper, on top of them oversubscribe the cores;
 `one_blas_thread` pins OpenBLAS to one thread, and
 `experiment.run_experiment` decides once per run whether to.
 The thread count changes the bits LAPACK returns for large enough
@@ -30,8 +30,8 @@ _SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
 # A serial run whose matrices all have smaller dimension runs on one OpenBLAS
-# thread, and propagates a state's sectors on up to as many threads as the
-# library had (`experiment`). On a 2-core Xeon (OpenBLAS 0.3.31, default 2
+# thread, and runs two realizations at once when the library had 2 threads or
+# more (`experiment`). On a 2-core Xeon (OpenBLAS 0.3.31, default 2
 # threads) a second thread cut eigh's wall time by at most a sixth below it
 # (D=330: 9.2 vs 7.7 ms), for twice the CPU time, by 9-22% at it and by
 # 20-44% from D=495 up (D=924: 119 vs 71 ms). A sector's eigendecomposition

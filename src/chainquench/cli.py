@@ -56,6 +56,7 @@ _FIELDS = {
     "g_values": [float],
 }
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+_REQUIRED = ("n_sites", "initial_state", "realizations", "master_seed")
 
 
 class ConfigError(Exception):
@@ -108,6 +109,8 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     """The experiment of a checked config; each omitted key takes its callee's default."""
     if seed_override is not None:
         raw = {**raw, "master_seed": seed_override}
+    if missing := [key for key in _REQUIRED if key not in raw]:
+        raise ConfigError(f"config lacks the required keys {missing}")
 
     def given(*keys: str) -> dict:
         return {key: raw[key] for key in keys if key in raw}

@@ -9,25 +9,23 @@ N x N one-particle Hamiltonian. Every other run hands the dense Hamiltonian
 of each sector the state occupies to `evolve.propagate`, which diagonalizes
 it through its eigenvectors below `evolve.TRIDIAGONAL_FROM` (200) states
 and through its tridiagonal form from there up. Realizations are
-independent and may run on worker threads; aggregation always folds them in
+independent and run on the calling thread and, in a pooled or helped run,
+on helper threads beside it; aggregation always folds them in
 realization-index order. `run_experiment` sets the OpenBLAS thread count
 once for the whole run: one thread for a worker pool, and for a serial run
 whose largest matrix lies below `blas.ONE_THREAD_BELOW` (462) states, so
 those runs are bit-identical to each other; any other serial run keeps the
 library's count, and its results can differ from a pooled run's in the last
-digits. A serial run on one thread whose state spans several sectors
-(`max_coherent`) and whose library had more than one thread propagates each
-realization's sectors two at a time instead: on the calling thread and one
-helper from a pool made once for the run, largest sector first. Each sector
-writes its own columns of the state, so the bits do not depend on which
-thread ran it.
+digits. A serial run on one thread whose library had more than one runs its
+realizations two at a time instead, on the calling thread and one helper,
+when two of them fit in memory.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from math import comb
@@ -69,20 +67,6 @@ def _largest_matrix(config: ExperimentConfig) -> int:
     N x N one-particle Hamiltonian on the Slater path, else the largest sector."""
     n = config.chain.n_sites
     return n if _slater(config) else comb(n, 1 if config.initial_state == "w_state" else n // 2)
-
-
-def _sectors_at_once(config: ExperimentConfig, workers: int, library: int | None) -> int:
-    """The sectors one realization propagates at once: two, on the calling
-    thread and one helper, in a serial run on one BLAS thread whose state spans
-    several sectors and whose library had more than one thread; else one.
-
-    Only the caller and one helper have been measured (on 2 cores), so a
-    library of more threads takes no more helpers: each would touch an
-    OpenBLAS buffer of its own, 3.5-4 MiB."""
-    if (workers > 1 or library is None or library < 2 or config.initial_state != "max_coherent"
-            or _largest_matrix(config) >= ONE_THREAD_BELOW):
-        return 1
-    return 2
 
 
 class MemoryLimitError(ValueError):
@@ -135,18 +119,15 @@ class ExperimentConfig:
         # peak memory of one realization's largest step, sized before any
         # array exists, times the realizations that run at once:
         # - two (n_times, D) amplitude arrays on the dense path, over the D
-        #   states of every occupied sector (2^N for max_coherent), two more
-        #   over the second largest sector when a helper propagates it beside
-        #   the largest (`_sectors_at_once`), and four on the Slater path,
-        #   whose Laplace steps sum products of gathered minors (tracemalloc,
-        #   N=12 and 14 Néel, 200 times: 4.0 of them);
-        # - 2.7 dense Hamiltonians of the largest sector, and of the second
-        #   largest beside it on a helper, unless the run is a Slater one: H,
-        #   overwritten by T's eigenvectors, the reflectors' compact-WY blocks
-        #   (half of it, plus their 64 x 64 T factors) and dstedc's D^2
-        #   workspace (ru_maxrss of a child, N=14 Néel, D=3432: 2.65); below
-        #   evolve.TRIDIAGONAL_FROM (200) states numpy's eigh takes 6.2-6.7,
-        #   < 2.1 MB, and is left uncounted;
+        #   states of every occupied sector (2^N for max_coherent), and four
+        #   on the Slater path, whose Laplace steps sum products of gathered
+        #   minors (tracemalloc, N=12 and 14 Néel, 200 times: 4.0 of them);
+        # - 2.7 dense Hamiltonians of the largest sector, unless the run is a
+        #   Slater one: H, overwritten by T's eigenvectors, the reflectors'
+        #   compact-WY blocks (half of it, plus their 64 x 64 T factors) and
+        #   dstedc's D^2 workspace (ru_maxrss of a child, N=14 Néel, D=3432:
+        #   2.65); below evolve.TRIDIAGONAL_FROM (200) states numpy's eigh
+        #   takes 6.2-6.7, < 2.1 MB, and is left uncounted;
         # - in local mode, the amplitudes, the gather buffer, one window's
         #   matrices and their Gram, 3 * 16 n_times 4^w, 16 D bytes of cached
         #   plan per window and 6 more while one is built (tracemalloc, 61
@@ -167,10 +148,7 @@ class ExperimentConfig:
             else:
                 d = _largest_matrix(self)
                 total = 2**n if self.initial_state == "max_coherent" else d
-                helped = _sectors_at_once(self, workers, blas_threads()) > 1
-                beside = comb(n, (n - 1) // 2) if helped else 0
-                largest = max(largest, 2 * 16 * n_times * (total + beside),
-                              2.7 * 8 * (d**2 + beside**2))
+                largest = max(largest, 2 * 16 * n_times * total, 2.7 * 8 * d**2)
             if self.mode == "local":
                 copies = (3 if self.initial_state == "max_coherent" else 2) * total
                 plans = (n - self.window + 7) * total
@@ -211,15 +189,9 @@ def realization_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _propagated(config: ExperimentConfig, eps: np.ndarray, psi0: BlockState,
-                helper: ThreadPoolExecutor | None) -> BlockState:
-    """psi0 over the time grid, each sector under its own dense Hamiltonian.
-
-    A state of several sectors is propagated into the columns of one array,
-    on this thread and, given a `helper` pool, on one task of it; both take
-    sectors largest first, and an error in either is raised here once both
-    have stopped.
-    """
+def _propagated(config: ExperimentConfig, eps: np.ndarray, psi0: BlockState) -> BlockState:
+    """psi0 over the time grid, each sector under its own dense Hamiltonian;
+    a state of several sectors is propagated into the columns of one array."""
     times = config.grid.times
 
     def evolved(sector, amps):
@@ -230,30 +202,12 @@ def _propagated(config: ExperimentConfig, eps: np.ndarray, psi0: BlockState,
         ((sector, amps),) = psi0.blocks
         return BlockState(psi0.n_sites, ((sector, evolved(sector, amps)),))
     psi_t = BlockState.empty(psi0.n_sites, psi0.sectors, times.shape)
-    # (initial block, its columns in psi_t) pairs; equal sizes keep sector order
-    work = deque(sorted(zip(psi0.blocks, psi_t.blocks), key=lambda pair: -pair[0][0].dim))
-
-    def drain() -> None:
-        while True:
-            try:
-                (sector, amps), (_, columns) = work.popleft()
-            except IndexError:
-                return
-            columns[...] = evolved(sector, amps)
-
-    helping = [] if helper is None else [helper.submit(drain)]
-    try:
-        drain()
-    finally:
-        work.clear()  # after a failure here, no helper starts another sector
-        wait(helping)
-    for task in helping:
-        task.result()
+    for (sector, amps), (_, columns) in zip(psi0.blocks, psi_t.blocks):
+        columns[...] = evolved(sector, amps)
     return psi_t
 
 
-def _single_trajectory(config: ExperimentConfig, index: int,
-                       helper: ThreadPoolExecutor | None = None) -> tuple[int, np.ndarray]:
+def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.ndarray]:
     seed = realization_seed(config.master_seed, index)
     eps = sample_disorder(config.chain.n_sites, seed)
     psi0 = _STATE_FACTORIES[config.initial_state](config.chain.n_sites)
@@ -265,7 +219,7 @@ def _single_trajectory(config: ExperimentConfig, index: int,
         block = (sector, amps[m] * slater_series(h, sector, sector.states[m], times))
         psi_t = BlockState(psi0.n_sites, (block,))
     else:
-        psi_t = _propagated(config, eps, psi0, helper)
+        psi_t = _propagated(config, eps, psi0)
 
     if config.mode == "global":
         trip = global_quantifiers(psi_t)
@@ -276,29 +230,61 @@ def _single_trajectory(config: ExperimentConfig, index: int,
     return seed, rows
 
 
+def _helpers(config: ExperimentConfig, n_workers: int, library: int | None) -> int:
+    """The threads that run realizations beside the calling thread: the rest
+    of a pool, else one for a serial run on one BLAS thread whose library had
+    more than one, when it has two realizations or more and two fit in memory.
+
+    Only the caller and one helper have been measured for a serial run (on 2
+    cores), so a library of more threads takes no more helpers."""
+    if n_workers > 1:
+        return min(n_workers, config.realizations) - 1
+    if (library is None or library < 2 or config.realizations < 2
+            or _largest_matrix(config) >= ONE_THREAD_BELOW):
+        return 0
+    try:
+        config.check_memory(2)
+    except MemoryLimitError:
+        return 0
+    return 1
+
+
 def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRecord:
     """Run all realizations and aggregate disorder statistics.
 
-    With n_workers > 1 the realizations run on a thread pool. OpenBLAS runs
-    on one thread for the whole run when a pool runs or the largest matrix
-    is below `blas.ONE_THREAD_BELOW` states, else at the library's count.
-    A serial run on one thread propagates a realization's sectors on the
-    calling thread and one helper thread when the library had more than one.
+    The calling thread runs realizations, and `_helpers` threads beside it:
+    n_workers - 1 with n_workers > 1, and at most one in a serial run.
+    OpenBLAS runs on one thread for the whole run when a pool runs or the
+    largest matrix is below `blas.ONE_THREAD_BELOW` states, else at the
+    library's count.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     config.check_memory(n_workers)
-    indices = range(config.realizations)
     library = blas_threads()  # before the run's own pin
-    helped = _sectors_at_once(config, n_workers, library) > 1
+    helpers = _helpers(config, n_workers, library)
     one_thread = n_workers > 1 or _largest_matrix(config) < ONE_THREAD_BELOW
+    results = [None] * config.realizations  # (seed, rows) per realization
+    queue = deque(range(config.realizations))
+
+    def drain() -> None:
+        try:
+            while True:
+                try:
+                    k = queue.popleft()
+                except IndexError:
+                    return
+                results[k] = _single_trajectory(config, k)
+        finally:
+            queue.clear()  # after a failure, no thread starts another realization
+
+    # the pool is left, and its helpers awaited, before the pin is restored
     with (one_blas_thread() if one_thread else nullcontext(library) as threads,
-          ThreadPoolExecutor(max_workers=n_workers) as pool):
-        if n_workers > 1:
-            results = list(pool.map(lambda k: _single_trajectory(config, k), indices))
-        else:  # a pool of one thread, the sector helper if the run takes one
-            helper = pool if helped else None
-            results = [_single_trajectory(config, k, helper) for k in indices]
+          ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool):
+        helping = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for task in helping:
+            task.result()
 
     seeds = tuple(seed for seed, _ in results)
     stack = np.stack([rows for _, rows in results])  # (r, T, 3)

@@ -365,6 +365,18 @@ def test_omitted_keys_take_the_library_defaults(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("key", REQUIRED)
+def test_a_missing_required_key_is_named(tmp_path, capsys, command, key):
+    raw = {k: v for k, v in REQUIRED.items() if k != key}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**raw, "W_values": [2], "g_values": [0]} if command == "sweep" else raw))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config lacks the required keys [{key!r}]\n"
+    assert not out.exists()
+
+
 def test_sweep_emits_one_file_per_cell(tmp_path):
     cfg = _write_config(tmp_path, W_values=[2, 6, 10], g_values=[0, 1], realizations=1)
     out = tmp_path / "sweep"

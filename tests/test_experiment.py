@@ -134,7 +134,8 @@ def test_serial_pin_restored_when_a_realization_raises(counting, monkeypatch, ca
     monkeypatch.setattr(experiment, "global_quantifiers", failing)
     with pytest.raises(RuntimeError, match="realization failed"):
         run_experiment(_small_config(realizations=2, **_ONE_THREAD_RUNS[case]))
-    assert seen == [1] and counting.sets == [1, 2]
+    # one realization on the caller, and one on the helper if it started
+    assert seen and set(seen) == {1} and counting.sets == [1, 2]
 
 
 @needs_openblas
@@ -144,99 +145,119 @@ def test_serial_run_from_the_crossover_up_keeps_the_library_count(counting, case
     assert counting.sets == [] and record.blas_threads == 2
 
 
-# A serial run on one BLAS thread whose state spans several sectors
-# propagates each realization's sectors on the calling thread and one helper
-# when the library had more than one thread before the run pinned it
-def _propagating_threads(monkeypatch, helped=False):
-    """The threads experiment.propagate runs on, one entry per call. With
-    `helped`, the calling thread waits until a helper has taken a sector."""
-    seen, real, taken = [], experiment.propagate, threading.Event()
+# A serial run on one BLAS thread runs its realizations on the calling thread
+# and one helper when the library had more than one thread before the run
+# pinned it; a pool runs them on the calling thread and n_workers - 1 helpers
+_SINGLE_TRAJECTORY = experiment._single_trajectory
 
-    def recorded(*args):
-        seen.append(threading.get_ident())
-        if threading.current_thread() is not threading.main_thread():
-            taken.set()
-        elif helped:
-            assert taken.wait(timeout=30)
-        return real(*args)
 
-    monkeypatch.setattr(experiment, "propagate", recorded)
+def _realization_threads(monkeypatch, parties, compute=True):
+    """(index, thread) of every realization run, in the order they start. The
+    first `parties` realizations each wait until all of them have started, so
+    each runs on a thread of its own. Without `compute` each returns zero rows."""
+    seen, real = [], _SINGLE_TRAJECTORY
+    started = threading.Barrier(parties, timeout=30)
+
+    def recorded(config, index):
+        seen.append((index, threading.get_ident()))
+        if index < parties:
+            started.wait()
+        return real(config, index) if compute else (0, np.zeros((config.grid.n_points, 3)))
+
+    monkeypatch.setattr(experiment, "_single_trajectory", recorded)
     return seen
 
 
+def _threads(seen):
+    return {thread for _, thread in seen}
+
+
+_HELPED_RUNS = {
+    "max_coherent10-local2": dict(n_sites=10, initial_state="max_coherent", mode="local", window=2),
+    "neel10": dict(n_sites=10),
+}
+
+
 @needs_openblas
-def test_sector_helpers_change_no_bits(two_blas_threads, monkeypatch):
-    config = _small_config(n_sites=10, initial_state="max_coherent", mode="local", window=2,
-                           realizations=2)
-    seen = _propagating_threads(monkeypatch, helped=True)
+@pytest.mark.parametrize("case", _HELPED_RUNS)
+def test_the_realization_helper_changes_no_bits(two_blas_threads, monkeypatch, case):
+    config = _small_config(realizations=3, **_HELPED_RUNS[case])
+    seen = _realization_threads(monkeypatch, parties=2)
     helped = run_experiment(config)
-    assert len(seen) == 22 and len(set(seen)) == 2 and helped.blas_threads == 1
-    monkeypatch.undo()
-    seen = _propagating_threads(monkeypatch)
-    with one_blas_thread():  # the library count is 1, so no helpers
+    assert len(_threads(seen)) == 2 and helped.blas_threads == 1
+    seen = _realization_threads(monkeypatch, parties=1)
+    with one_blas_thread():  # the library count is 1, so no helper
         alone = run_experiment(config)
-    assert set(seen) == {threading.get_ident()}
+    assert _threads(seen) == {threading.get_ident()}
     pooled = run_experiment(config, n_workers=2)
     assert blas_threads() == 2
     for a, b, c in zip(_fields(helped), _fields(alone), _fields(pooled)):
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
-# (config, workers, library count, threads a realization propagates on)
+# (config, workers, library count, helpers beside the calling thread)
 _HELPER_CASES = {
-    "max_coherent8": (dict(n_sites=8, initial_state="max_coherent"), 1, 2, 2),
-    "nine-library-threads": (dict(n_sites=8, initial_state="max_coherent"), 1, 9, 2),
-    "pooled": (dict(n_sites=8, initial_state="max_coherent"), 2, 2, 1),
-    "one-library-thread": (dict(n_sites=8, initial_state="max_coherent"), 1, 1, 1),
+    "max_coherent8": (dict(n_sites=8, initial_state="max_coherent"), 1, 2, 1),
+    "nine-library-threads": (dict(n_sites=8, initial_state="max_coherent"), 1, 9, 1),
     "one-sector": (dict(n_sites=10), 1, 2, 1),
-    "from-462": (dict(n_sites=11, initial_state="max_coherent"), 1, 2, 1),
+    "pooled": (dict(n_sites=8, initial_state="max_coherent"), 3, 1, 2),
+    "one-library-thread": (dict(n_sites=8, initial_state="max_coherent"), 1, 1, 0),
+    "one-realization": (dict(n_sites=8, initial_state="max_coherent", realizations=1), 1, 2, 0),
+    "from-462": (dict(n_sites=11, initial_state="max_coherent"), 1, 2, 0),
 }
 
 
 @pytest.mark.parametrize("case", _HELPER_CASES)
-def test_sector_helpers_only_for_a_serial_multisector_run_below_462(counting, monkeypatch, case):
-    overrides, workers, library, threads = _HELPER_CASES[case]
+def test_which_runs_take_a_realization_helper(counting, monkeypatch, case):
+    overrides, workers, library, helpers = _HELPER_CASES[case]
     counting.threads = library
-    config = _small_config(realizations=1, **overrides)
-    assert experiment._sectors_at_once(config, workers, library) == threads
-    seen = _propagating_threads(monkeypatch, helped=threads > 1)
+    config = _small_config(**{"realizations": 3, **overrides})
+    assert experiment._helpers(config, workers, library) == helpers
+    seen = _realization_threads(monkeypatch, parties=helpers + 1)
     run_experiment(config, n_workers=workers)
-    assert len(set(seen)) == threads
+    assert len(_threads(seen)) == helpers + 1 and threading.get_ident() in _threads(seen)
+    assert sorted(index for index, _ in seen) == list(range(config.realizations))
 
 
-def test_the_sector_helper_propagates_each_sector_once(counting, monkeypatch):
-    # 9 sectors on the caller and one helper, switching threads every microsecond
-    config = _small_config(n_sites=8, initial_state="max_coherent", realizations=2)
+def test_the_realization_helper_runs_each_realization_once(counting, monkeypatch):
+    # 8 realizations on the caller and one helper, switching threads every microsecond
+    config = _small_config(n_sites=8, initial_state="max_coherent", realizations=8)
     with one_blas_thread():
         alone = run_experiment(config)
-    seen = _propagating_threads(monkeypatch, helped=True)
+    seen = _realization_threads(monkeypatch, parties=2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         helped = run_experiment(config)
     finally:
         sys.setswitchinterval(interval)
-    assert len(seen) == 18 and len(set(seen)) == 2
+    assert sorted(index for index, _ in seen) == list(range(8)) and len(_threads(seen)) == 2
+    assert helped.seeds == alone.seeds
     for a, b in zip(_fields(helped), _fields(alone)):
         assert np.array_equal(a, b)
 
 
 @needs_openblas
 def test_a_helpers_failure_reaches_the_caller(two_blas_threads, monkeypatch, tmp_path, capsys):
-    real, helper_failed = experiment.propagate, threading.Event()
+    real, on_the_caller = experiment.propagate, []
+    caller_started, helper_failed = threading.Event(), threading.Event()
 
     def failing_on_a_helper(*args):
         if threading.current_thread() is not threading.main_thread():
+            caller_started.wait(timeout=30)
             helper_failed.set()
             raise np.linalg.LinAlgError("eigendecomposition failed for dim=0 matrix: injected")
+        caller_started.set()
         helper_failed.wait(timeout=30)
+        on_the_caller.append(args)
         return real(*args)
 
     monkeypatch.setattr(experiment, "propagate", failing_on_a_helper)
-    config = _small_config(n_sites=8, initial_state="max_coherent", realizations=2)
+    config = _small_config(n_sites=8, initial_state="max_coherent", realizations=4)
     with pytest.raises(np.linalg.LinAlgError, match="injected"):
         run_experiment(config)
-    assert helper_failed.is_set() and blas_threads() == 2
+    # the caller finished the realization it had begun, its 9 sectors, and started no other
+    assert helper_failed.is_set() and len(on_the_caller) == 9 and blas_threads() == 2
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_to_dict(config)))
     out = tmp_path / "out"
@@ -472,30 +493,35 @@ def test_memory_guard_counts_concurrent_realizations(host_with_8_gib, monkeypatc
                   n_workers=3)
 
 
-def test_memory_guard_counts_the_sectors_propagated_at_once(host_with_8_gib, counting, monkeypatch):
-    def no_realization(*args):
-        raise AssertionError("a realization started")
+def test_memory_guard_counts_the_realization_helper(host_with_8_gib, counting, monkeypatch):
+    seen = _realization_threads(monkeypatch, parties=1, compute=False)
 
-    monkeypatch.setattr(experiment, "_single_trajectory", no_realization)
-    # max_coherent N=10 at 230 000 times: two arrays of 16 * n_times * 2**10
-    # bytes (7.5 GB), and two of the second largest sector's 210 columns more
-    # when a helper propagates it beside the largest (9.1 GB)
-    grid = TimeGrid(n_points=230_000)
-    counting.threads = 1
-    config = make_default_config(n_sites=10, initial_state="max_coherent", grid=grid)
-    for library in (2, 11):  # one helper, however many threads the library has
+    def max_coherent10(n_points):
+        return make_default_config(n_sites=10, initial_state="max_coherent", realizations=2,
+                                   grid=TimeGrid(n_points=n_points))
+
+    # max_coherent N=10 global: two arrays of 16 * n_times * 2**10 bytes a
+    # realization, 7.5 GB at 230 000 times; two such would not fit, so the
+    # run goes on alone, whatever the library count
+    for library in (2, 11):
         counting.threads = library
-        with pytest.raises(experiment.MemoryLimitError, match="physical memory"):
-            config.check_memory()
-        with pytest.raises(experiment.MemoryLimitError):
-            run_experiment(config)  # before any realization starts
-        with pytest.raises(experiment.MemoryLimitError):
-            make_default_config(n_sites=10, initial_state="max_coherent", grid=grid)
-        # 8.3 GB at 210 000 times; ten helpers' 252 columns would be 23.8 GB
-        make_default_config(n_sites=10, initial_state="max_coherent",
-                            grid=TimeGrid(n_points=210_000))
-    # N=10 Neel is one sector, propagated alone whatever the library count
-    make_default_config(n_sites=10, grid=TimeGrid(n_points=10**6))  # 8.1 GB
+        config = max_coherent10(230_000)
+        assert experiment._helpers(config, 1, library) == 0
+        seen.clear()
+        run_experiment(config)
+        assert len(_threads(seen)) == 1 and len(seen) == 2
+    # 3.9 GB at 120 000 times, so two fit: the caller and one helper
+    counting.threads = 2
+    config = max_coherent10(120_000)
+    assert experiment._helpers(config, 1, 2) == 1
+    seen = _realization_threads(monkeypatch, parties=2, compute=False)
+    run_experiment(config)
+    assert len(_threads(seen)) == 2
+    # 9.8 GB at 300 000 times: not even one fits
+    seen.clear()
+    with pytest.raises(experiment.MemoryLimitError, match="1 realization\\(s\\) at once"):
+        max_coherent10(300_000)
+    assert seen == []
 
 
 @pytest.mark.parametrize("n_sites", range(4, 9))

@@ -221,7 +221,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     g_values = raw.get("g_values")
     if not w_values or not g_values:
         raise ConfigError("sweep needs nonempty W_values and g_values lists")
-    base = parse_config(raw, seed_override=args.seed)
+    # the base is the first cell: the config's own W and g may name a cell
+    # the sweep never runs, which the memory guard must not size
+    base = parse_config({**raw, "W": w_values[0], "g": g_values[0]}, seed_override=args.seed)
     stems = [f"traj_W{w:g}_g{g:g}" for w in w_values for g in g_values]
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:

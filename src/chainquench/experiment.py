@@ -8,7 +8,9 @@ evolves as a Slater determinant: `evolve.slater_series` diagonalizes the
 N x N one-particle Hamiltonian. Every other run hands the dense Hamiltonian
 of each sector the state occupies to `evolve.propagate`, which diagonalizes
 it through its eigenvectors below `evolve.TRIDIAGONAL_FROM` (200) states
-and through its tridiagonal form from there up. Realizations are
+and through its tridiagonal form from there up. A state of one sector holds
+`propagate`'s array as it is; one of several is propagated sector by sector
+into the columns of one array. Realizations are
 independent and run on the calling thread and, in a pooled or helped run,
 on helper threads beside it; aggregation always folds them in
 realization-index order. `run_experiment` sets the OpenBLAS thread count
@@ -106,12 +108,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.initial_state} requires an even chain, got N={self.chain.n_sites}"
             )
-        self.check_memory()
+        # checked first, so that the memory guard's comb(N, k) and 2^N are quick
         if self.chain.n_sites > 63:
             raise ValueError(
                 "basis states are 63-bit patterns, so a chain has at most 63 sites, "
                 f"got N={self.chain.n_sites}"
             )
+        self.check_memory()
         self.grid.times  # builds the grid, which must be strictly increasing
 
     def check_memory(self, workers: int = 1) -> None:
@@ -130,29 +133,23 @@ class ExperimentConfig:
         #   takes 6.2-6.7, < 2.1 MB, and is left uncounted;
         # - in local mode, the amplitudes, the gather buffer, one window's
         #   matrices and their Gram, 3 * 16 n_times 4^w, 16 D bytes of cached
-        #   plan per window and 6 more while one is built (tracemalloc, 61
-        #   times: 2.02 amplitudes for Néel, 3.05 window matrices at w=8),
-        #   with a margin of one more amplitude array for a state of several
-        #   sectors (2.05 measured for max_coherent at N=10, 2000 times).
-        # Every run builds an N x N matrix or larger, so 8 N^2 first rules out
-        # any N whose comb(N, k) or 2^N would itself take long to compute
+        #   plan per window and 6 more while one is built (tracemalloc, 2000
+        #   times: 2.01 amplitudes for max_coherent at N=12 and 2.05 at N=10;
+        #   61 times: 2.02 for Néel, 3.05 window matrices at w=8).
         n = self.chain.n_sites
         n_times = self.grid.n_points
         concurrent = min(workers, self.realizations)
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        largest = 8 * n**2
-        if largest <= memory:
-            if _slater(self):
-                total = comb(n, n // 2)
-                largest = max(largest, 4 * 16 * n_times * total)
-            else:
-                d = _largest_matrix(self)
-                total = 2**n if self.initial_state == "max_coherent" else d
-                largest = max(largest, 2 * 16 * n_times * total, 2.7 * 8 * d**2)
-            if self.mode == "local":
-                copies = (3 if self.initial_state == "max_coherent" else 2) * total
-                plans = (n - self.window + 7) * total
-                largest = max(largest, 16 * (n_times * (copies + 3 * 4**self.window) + plans))
+        if _slater(self):
+            total = comb(n, n // 2)
+            largest = 4 * 16 * n_times * total
+        else:
+            d = _largest_matrix(self)
+            total = 2**n if self.initial_state == "max_coherent" else d
+            largest = max(2 * 16 * n_times * total, 2.7 * 8 * d**2)
+        if self.mode == "local":
+            plans = (n - self.window + 7) * total
+            largest = max(largest, 16 * (n_times * (2 * total + 3 * 4**self.window) + plans))
         if largest * concurrent > memory:
             raise MemoryLimitError(
                 f"N={n} with n_times={n_times} and {concurrent} realization(s) at once "
@@ -190,18 +187,20 @@ def realization_seed(master_seed: int, index: int) -> int:
 
 
 def _propagated(config: ExperimentConfig, eps: np.ndarray, psi0: BlockState) -> BlockState:
-    """psi0 over the time grid, each sector under its own dense Hamiltonian;
-    a state of several sectors is propagated into the columns of one array."""
+    """psi0 over the time grid, each sector under its own dense Hamiltonian."""
     times = config.grid.times
 
     def evolved(sector, amps):
         # no name holds a Hamiltonian, so each is freed once its sector is propagated
         return propagate(build_hamiltonian(config.chain, eps, sector), amps, times)
 
+    # one sector holds propagate's array as it is: an empty one made first
+    # would sit through the eigensolve beside it
     if len(psi0.sectors) == 1:
         ((sector, amps),) = psi0.blocks
-        return BlockState(psi0.n_sites, ((sector, evolved(sector, amps)),))
-    psi_t = BlockState.empty(psi0.n_sites, psi0.sectors, times.shape)
+        return BlockState(psi0.n_sites, psi0.sectors, evolved(sector, amps))
+    amplitudes = np.empty(times.shape + psi0.amplitudes.shape, complex)
+    psi_t = BlockState(psi0.n_sites, psi0.sectors, amplitudes)
     for (sector, amps), (_, columns) in zip(psi0.blocks, psi_t.blocks):
         columns[...] = evolved(sector, amps)
     return psi_t
@@ -216,8 +215,8 @@ def _single_trajectory(config: ExperimentConfig, index: int) -> tuple[int, np.nd
         ((sector, amps),) = psi0.blocks
         ((m,),) = np.nonzero(amps)
         h = build_hamiltonian(config.chain, eps, enumerate_sector(config.chain.n_sites, 1))
-        block = (sector, amps[m] * slater_series(h, sector, sector.states[m], times))
-        psi_t = BlockState(psi0.n_sites, (block,))
+        series = amps[m] * slater_series(h, sector, sector.states[m], times)
+        psi_t = BlockState(psi0.n_sites, psi0.sectors, series)
     else:
         psi_t = _propagated(config, eps, psi0)
 

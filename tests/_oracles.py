@@ -115,12 +115,9 @@ def blocks_from_dense(amplitudes, n_sites):
         raise ValueError(
             f"expected {1 << n_sites} amplitudes for {n_sites} sites, got {amplitudes.shape}"
         )
-    blocks = []
-    for sector in full_space(n_sites):
-        amps = amplitudes[..., sector.states]
-        if np.any(amps != 0):
-            blocks.append((sector, amps))
-    return BlockState(n_sites=n_sites, blocks=tuple(blocks))
+    sectors = tuple(s for s in full_space(n_sites) if np.any(amplitudes[..., s.states] != 0))
+    states = np.concatenate([sector.states for sector in sectors])
+    return BlockState(n_sites, sectors, amplitudes[..., states])
 
 
 def dense_partial_trace(vec, n_sites, keep_sites):

@@ -132,7 +132,7 @@ def test_criterion_03_small_chain_oracle_equivalence():
         dense_h = dense_hamiltonian(n, params.J, params.W, params.g, eps)
         psi_dense0 = dense_amplitudes(psi0)
         for j, t in enumerate(grid.times):
-            psi_t = BlockState(n_sites=n, blocks=((sector0, series[j]),))
+            psi_t = BlockState(n, (sector0,), series[j])
             vec = scipy.linalg.expm(-1j * dense_h * t) @ psi_dense0
             rho = np.outer(vec, vec.conj())
 
@@ -169,7 +169,7 @@ def test_criterion_04_two_site_analytic():
     series = propagate(H, amps0, grid.times)
     worst = 0.0
     for j, t in enumerate(grid.times):
-        trip = global_quantifiers(BlockState(n_sites=2, blocks=((sector, series[j]),)))
+        trip = global_quantifiers(BlockState(2, (sector,), series[j]))
         worst = max(worst, abs(trip.C - abs(np.sin(2 * t)) / 3.0))
         worst = max(worst, abs(trip.P - (1.0 - abs(np.sin(2 * t)) / 3.0)))
     ok = worst <= 1e-9

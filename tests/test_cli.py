@@ -185,8 +185,8 @@ def test_run_rejects_numbers_too_large_for_a_float(tmp_path, capsys):
 
 
 def test_run_rejects_chains_beyond_63_bit_patterns(tmp_path, capsys):
-    # a w_state sector has dimension N, so N = 64 passes the memory guard;
-    # the bit-pattern width is checked before anything is enumerated
+    # the bit-pattern width is checked before the memory guard sizes anything
+    # and before anything is enumerated
     out = tmp_path / "out"
     cfg = _write_config(tmp_path, n_sites=64, initial_state="w_state")
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -394,6 +394,17 @@ def test_sweep_emits_one_file_per_cell(tmp_path):
     with open(out / "traj_W2_g0.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert all(float(r["C_sem"]) == 0.0 and float(r["P_sem"]) == 0.0 for r in rows)
+
+
+def test_sweep_sizes_only_the_cells_it_runs(tmp_path, host_with_8_gib):
+    # the config's own g=1 names a dense N=18 cell that would not fit; the
+    # sweep's only cell is a Slater run that does
+    grid = {"t_min": 0.1, "t_max": 1000.0, "n_points": 5}
+    cfg = _write_config(tmp_path, n_sites=18, g=1.0, W_values=[2.0], g_values=[0.0],
+                        realizations=1, time_grid=grid)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == ["traj_W2_g0.csv"]
 
 
 def test_sweep_requires_value_lists(tmp_path):

@@ -96,11 +96,9 @@ def test_multisector_against_dense_propagator():
     psi0 = max_coherent(n)
     params = ChainParams(n_sites=n, J=1.0, W=4.0, g=1.0)
     eps = sample_disorder(n, 55)
-    blocks = tuple(
-        (sector, propagate(build_hamiltonian(params, eps, sector), amps, [1.0])[0])
-        for sector, amps in psi0.blocks
-    )
-    evolved = BlockState(n_sites=n, blocks=blocks)
+    evolved = BlockState(n, psi0.sectors, np.empty(psi0.amplitudes.shape, complex))
+    for (sector, amps), (_, columns) in zip(psi0.blocks, evolved.blocks):
+        columns[...] = propagate(build_hamiltonian(params, eps, sector), amps, [1.0])[0]
 
     full = dense_hamiltonian(n, params.J, params.W, params.g, eps)
     expected = scipy.linalg.expm(-1j * full * 1.0) @ dense_amplitudes(psi0)

@@ -367,7 +367,7 @@ def _dense_fields(config):
     for k in range(config.realizations):
         eps = sample_disorder(config.chain.n_sites, realization_seed(config.master_seed, k))
         series = propagate(build_hamiltonian(config.chain, eps, sector), amps0, config.grid.times)
-        psi_t = BlockState(n_sites=config.chain.n_sites, blocks=((sector, series),))
+        psi_t = BlockState(config.chain.n_sites, (sector,), series)
         if config.mode == "global":
             trip = global_quantifiers(psi_t)
         else:
@@ -417,11 +417,11 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     # needs 16 * (13 * (2 * N + 3 * 4**2) + (N + 5) * N) bytes
     _small_config(n_sites=40, initial_state="w_state", mode="local", window=2)
     _small_config(n_sites=25, initial_state="w_state", mode="local", window=2)
-    with pytest.raises(ValueError, match="physical memory"):
+    with pytest.raises(ValueError, match="at most 63 sites"):
         _small_config(n_sites=10**12, initial_state="w_state")  # settled without comb(N, k)
-    # max_coherent's blocks, their concatenation and the gather buffer:
-    # 16 * 13 * 3 * 2**N bytes, 21 GB at N=25, beside 2.7 * 8 * comb(N, N // 2)**2
-    # for its largest sector
+    # max_coherent's amplitudes and the gather buffer: 16 * 13 * 2 * 2**N
+    # bytes, 14 GB at N=25, beside 2.7 * 8 * comb(N, N // 2)**2 for its
+    # largest sector
     with pytest.raises(ValueError, match="physical memory"):
         _small_config(n_sites=40, initial_state="max_coherent", mode="local", window=2)
     with pytest.raises(ValueError, match="physical memory"):
@@ -465,11 +465,12 @@ def test_memory_guard_reads_sizes_only(host_with_8_gib):
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=100_000))  # 13.1 GB
     make_default_config(initial_state="max_coherent", grid=TimeGrid(n_points=50_000))  # 6.6 GB
-    # in local mode its 2**12 amplitudes sit beside their concatenation and
-    # the gather buffer
+    # in local mode its 2**12 amplitudes sit beside the gather buffer
+    make_default_config(initial_state="max_coherent", mode="local", window=2,
+                        grid=TimeGrid(n_points=50_000))  # 6.6 GB
     with pytest.raises(ValueError, match="physical memory"):
         make_default_config(initial_state="max_coherent", mode="local", window=2,
-                            grid=TimeGrid(n_points=50_000))  # 9.8 GB
+                            grid=TimeGrid(n_points=70_000))  # 9.2 GB
 
 
 def test_memory_guard_counts_concurrent_realizations(host_with_8_gib, monkeypatch):

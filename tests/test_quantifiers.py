@@ -107,7 +107,7 @@ def test_global_two_site_analytic():
     times = np.linspace(0.05, 8.0, 40)
     series = propagate(H, np.array([1.0 + 0j, 0.0]), times)
     for j, t in enumerate(times):
-        trip = global_quantifiers(BlockState(n_sites=2, blocks=((sector, series[j]),)))
+        trip = global_quantifiers(BlockState(2, (sector,), series[j]))
         assert trip.C == pytest.approx(abs(np.sin(2 * t)) / 3.0, abs=1e-12)
         assert trip.P == pytest.approx(1.0 - abs(np.sin(2 * t)) / 3.0, abs=1e-12)
 
@@ -127,7 +127,7 @@ def test_global_shortcut_equals_dense_rho():
 
 def test_global_rejects_unnormalized():
     sector = enumerate_sector(3, 1)
-    bad = BlockState(n_sites=3, blocks=((sector, np.array([1.0, 1.0, 0.0], dtype=complex)),))
+    bad = BlockState(3, (sector,), np.array([1.0, 1.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
         global_quantifiers(bad)
 
@@ -142,7 +142,7 @@ def test_partial_trace_product_state():
 def test_partial_trace_bell_pair():
     sector = enumerate_sector(2, 1)
     amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    rho = partial_trace(BlockState(n_sites=2, blocks=((sector, amps),)), [1])
+    rho = partial_trace(BlockState(2, (sector,), amps), [1])
     np.testing.assert_allclose(rho, np.eye(2) / 2.0, atol=1e-15)
 
 
@@ -256,7 +256,7 @@ def _random_state_over_time(rng, n, n_times, n_particles):
     rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
     if n_particles is None:
         return blocks_from_dense(rows, n)
-    return BlockState(n_sites=n, blocks=((enumerate_sector(n, n_particles), rows),))
+    return BlockState(n, (enumerate_sector(n, n_particles),), rows)
 
 
 @st.composite
@@ -273,10 +273,7 @@ def _states_over_time(draw):
 def test_time_axis_changes_no_bits(psi):
     """A time-major state gives exactly the stacked results of its time slices."""
     (n_times,) = psi.time_shape
-    slices = [
-        BlockState(n_sites=psi.n_sites, blocks=tuple((s, a[j]) for s, a in psi.blocks))
-        for j in range(n_times)
-    ]
+    slices = [BlockState(psi.n_sites, psi.sectors, psi.amplitudes[j]) for j in range(n_times)]
 
     def assert_stacked(batched, per_time):
         for field in ("C", "P", "E"):
@@ -299,13 +296,10 @@ def _sector_subset_state(n, counts, n_times, seed):
     (n_times=None) or over n_times times."""
     rng = np.random.default_rng(seed)
     lead = () if n_times is None else (n_times,)
-    blocks = []
-    for k in counts:
-        sector = enumerate_sector(n, k)
-        blocks.append((sector, rng.standard_normal(lead + (sector.dim,))
-                       + 1j * rng.standard_normal(lead + (sector.dim,))))
-    norm = np.sqrt(sum(np.sum(np.abs(amps) ** 2, axis=-1) for _, amps in blocks))
-    return BlockState(n_sites=n, blocks=tuple((s, a / norm[..., None]) for s, a in blocks))
+    sectors = tuple(enumerate_sector(n, k) for k in counts)
+    shape = lead + (sum(sector.dim for sector in sectors),)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return BlockState(n, sectors, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
 
 
 @st.composite

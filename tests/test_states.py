@@ -90,51 +90,43 @@ def test_from_dense_rejects_bad_length():
         blocks_from_dense(np.ones(7), 3)
 
 
-
 def test_blocks_are_views_of_one_c_ordered_array():
     rng = np.random.default_rng(5)
-    sectors = [enumerate_sector(5, k) for k in (3, 1, 2)]  # out of count order
-    # time-major blocks that are not C-ordered: Fortran order, and every other column
-    parts = [np.asfortranarray(rng.normal(size=(4, sectors[0].dim))),
-             rng.normal(size=(4, 2 * sectors[1].dim))[:, ::2],
-             rng.normal(size=(4, sectors[2].dim)) + 1j]
-    psi = BlockState(n_sites=5, blocks=zip(sectors, parts))
-    assert psi.amplitudes.shape == (4, 5 + 10 + 10) and psi.amplitudes.flags.c_contiguous
-    assert psi.sectors == tuple(sectors) and psi.time_shape == (4,)
-    for (sector, amps), sector_in, part in zip(psi.blocks, sectors, parts):
-        assert sector is sector_in and np.shares_memory(amps, psi.amplitudes)
-        assert np.array_equal(amps, part)
-    # a single C-ordered block is held as given
-    amps = np.ones((4, 20), dtype=complex)
-    assert BlockState(n_sites=6, blocks=((enumerate_sector(6, 3), amps),)).amplitudes is amps
-    # a state made empty is written through its blocks
-    empty = BlockState.empty(5, sectors, (4,))
-    for (_, amps), part in zip(empty.blocks, parts):
-        amps[...] = part
-    assert np.array_equal(empty.amplitudes, psi.amplitudes)
-    with pytest.raises(ValueError, match="at least one block"):
-        BlockState(n_sites=5, blocks=())
+    sectors = tuple(enumerate_sector(5, k) for k in (3, 1, 2))  # out of count order
+    dims = (10, 5, 10)
+    # time-major amplitudes that are not C-ordered: Fortran order, and every other column
+    for amps in (np.asfortranarray(rng.normal(size=(4, 25)) + 1j),
+                 rng.normal(size=(4, 50))[:, ::2]):
+        psi = BlockState(5, sectors, amps)
+        assert psi.amplitudes is not amps and psi.amplitudes.flags.c_contiguous
+        assert np.array_equal(psi.amplitudes, amps)
+        assert psi.sectors is sectors and psi.time_shape == (4,)
+    # C-ordered amplitudes are held as given, and the blocks are views of their columns
+    amps = rng.normal(size=(4, 25)) + 0j
+    psi = BlockState(5, sectors, amps)
+    assert psi.amplitudes is amps
+    stops = np.cumsum(dims)
+    for (sector, block), sector_in, stop, dim in zip(psi.blocks, sectors, stops, dims):
+        assert sector is sector_in and np.shares_memory(block, amps)
+        assert np.array_equal(block, amps[:, stop - dim:stop])
 
 
-def _block(n_sites, n_particles, shape=None):
-    """A block of the (n_sites, n_particles) sector with uniform amplitudes,
-    shaped (dim,) unless `shape` is given."""
-    sector = enumerate_sector(n_sites, n_particles)
-    return sector, np.full(shape or sector.dim, sector.dim**-0.5, dtype=complex)
+def _sectors(n_sites, *counts):
+    return tuple(enumerate_sector(n_sites, k) for k in counts)
 
 
 @pytest.mark.parametrize(
-    "n_sites,blocks,match",
+    "n_sites,sectors,dim,match",
     [
-        (4, lambda: (_block(4, 2), _block(4, 2)), "one block per particle count"),
-        (4, lambda: (_block(4, 2, shape=3),), "amplitudes shaped"),
-        (4, lambda: (_block(5, 2),), "5-site sector in a 4-site state"),
-        (3, lambda: (_block(3, 1, shape=(2, 3)), _block(3, 2)), "different leading shapes"),
+        (4, _sectors(4, 2, 2), 12, "one block per particle count"),
+        (4, _sectors(4, 2), 3, "amplitudes shaped"),
+        (4, _sectors(5, 2), 10, "5-site sector in a 4-site state"),
+        (4, (), 0, "at least one sector"),
     ],
-    ids=["repeated-count", "short-amplitudes", "other-chain", "leading-shapes"],
+    ids=["repeated-count", "short-amplitudes", "other-chain", "no-sector"],
 )
-def test_block_state_rejects_inconsistent_blocks(n_sites, blocks, match):
+def test_block_state_rejects_inconsistent_blocks(n_sites, sectors, dim, match):
     # before, a repeated N=4, k=2 block gave C=0.733 and 3 amplitudes in the
     # 6-state sector a global triple, without an error
     with pytest.raises(ValueError, match=match):
-        BlockState(n_sites=n_sites, blocks=blocks())
+        BlockState(n_sites, sectors, np.full(dim, 0.5, dtype=complex))

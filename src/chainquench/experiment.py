@@ -26,8 +26,8 @@ when two of them fit in memory.
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from math import comb
@@ -37,7 +37,7 @@ import numpy as np
 
 from .blas import ONE_THREAD_BELOW, blas_threads, one_blas_thread
 from .evolve import TimeGrid, propagate, slater_series
-from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder
+from .hamiltonian import ChainParams, build_hamiltonian, sample_disorder, seed_state
 from .hilbert import enumerate_sector
 from .quantifiers import global_quantifiers, local_quantifiers
 from .states import BlockState, max_coherent, max_incoherent, neel, w_state
@@ -182,8 +182,10 @@ class TrajectoryRecord:
 
 
 def realization_seed(master_seed: int, index: int) -> int:
-    """Per-realization seed; depends only on (master_seed, index)."""
-    return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
+    """Per-realization seed; depends only on (master_seed, index).
+
+    numpy's `SeedSequence((master_seed, index)).generate_state(1, uint64)[0]`."""
+    return seed_state((master_seed, index), 1)[0]
 
 
 def _propagated(config: ExperimentConfig, eps: np.ndarray, psi0: BlockState) -> BlockState:
@@ -265,6 +267,7 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRe
     one_thread = n_workers > 1 or _largest_matrix(config) < ONE_THREAD_BELOW
     results = [None] * config.realizations  # (seed, rows) per realization
     queue = deque(range(config.realizations))
+    failures = []  # raised on the caller once every helper is joined
 
     def drain() -> None:
         try:
@@ -274,16 +277,20 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> TrajectoryRe
                 except IndexError:
                     return
                 results[k] = _single_trajectory(config, k)
-        finally:
-            queue.clear()  # after a failure, no thread starts another realization
+        except BaseException as failure:
+            queue.clear()  # no thread starts another realization
+            failures.append(failure)
 
-    # the pool is left, and its helpers awaited, before the pin is restored
-    with (one_blas_thread() if one_thread else nullcontext(library) as threads,
-          ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool):
-        helping = [pool.submit(drain) for _ in range(helpers)]
+    # every helper is joined before the pin is restored
+    with one_blas_thread() if one_thread else nullcontext(library) as threads:
+        helping = [threading.Thread(target=drain) for _ in range(helpers)]
+        for helper in helping:
+            helper.start()
         drain()
-        for task in helping:
-            task.result()
+        for helper in helping:
+            helper.join()
+    if failures:
+        raise failures[0]
 
     seeds = tuple(seed for seed, _ in results)
     stack = np.stack([rows for _, rows in results])  # (r, T, 3)

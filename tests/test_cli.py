@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,3 +558,46 @@ def test_cost_outputs(capsys):
 
 def test_cost_rejects_zero_sites():
     assert main(["cost", "0", "P"]) == 2
+
+
+# `run` with a realization helper and a two-worker `sweep` in a fresh
+# interpreter, then the modules it imported: the disorder is drawn in-package
+# and helpers are plain threads, so neither numpy's random module nor
+# concurrent.futures is loaded on the run path
+_IMPORT_GUARD_SCRIPT = """
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+from chainquench import experiment
+from chainquench.blas import openblas
+from chainquench.cli import main
+lib = openblas()
+if lib is not None:
+    lib.set_num_threads(2)  # a serial run below 462 states takes its helper
+threads, real = set(), experiment._single_trajectory
+started = threading.Barrier(2, timeout=30)
+def recorded(config, index):  # the first two realizations start on two threads
+    threads.add(threading.get_ident())
+    if lib is not None and index < 2:
+        started.wait()
+    return real(config, index)
+experiment._single_trajectory = recorded
+codes = [main(["run", "--config", sys.argv[2], "--out-dir", sys.argv[4]])]
+experiment._single_trajectory, run_threads = real, len(threads)
+codes.append(main(["sweep", "--config", sys.argv[3], "--out-dir", sys.argv[5], "--threads", "2"]))
+print(json.dumps({"codes": codes, "openblas": lib is not None, "threads": run_threads,
+                  "loaded": [m for m in ("numpy.random", "concurrent.futures") if m in sys.modules]}))
+"""
+
+
+def test_run_and_sweep_import_neither_numpy_random_nor_concurrent_futures(tmp_path):
+    run = _write_config(tmp_path, "run.json", n_sites=8, initial_state="max_coherent",
+                        mode="local", window=2, realizations=3)
+    sweep = _write_config(tmp_path, "sweep.json", W_values=[2.0], g_values=[0.0, 1.0])
+    src = Path(experiment.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD_SCRIPT, str(src), str(run), str(sweep),
+         str(tmp_path / "run"), str(tmp_path / "sweep")],
+        capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0] and report["loaded"] == []
+    assert report["threads"] == (2 if report["openblas"] else 1)

@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from chainquench.experiment import realization_seed
 from chainquench.hamiltonian import ChainParams, build_hamiltonian, sample_disorder
 from chainquench.hilbert import enumerate_sector
 
@@ -13,6 +16,45 @@ def test_disorder_deterministic():
     assert np.array_equal(a, b)
     assert not a.flags.writeable
     assert not np.array_equal(a, sample_disorder(12, 43))
+
+
+# word boundaries of the 32-bit entropy words, and random 64-bit seeds
+_RNG = random.Random(2024)
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64, 2**100 + 5] + [
+    _RNG.getrandbits(64) for _ in range(200)
+]
+
+
+def test_disorder_is_numpys_default_rng_stream():
+    for seed in _STREAM_SEEDS:
+        for n in (2, 12, 16, 63):
+            expected = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+            assert sample_disorder(n, seed).tobytes() == expected.tobytes(), (seed, n)
+
+
+def test_realization_seed_is_numpys_seed_sequence():
+    for master_seed in _STREAM_SEEDS:
+        for index in (0, 1, 7, 2**40):
+            words = np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)
+            assert realization_seed(master_seed, index) == int(words[0]), (master_seed, index)
+
+
+def test_disorder_seed_types():
+    expected = sample_disorder(12, 42)
+    for seed in (np.int64(42), np.uint64(42)):
+        assert np.array_equal(sample_disorder(12, seed), expected)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_disorder(12, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        realization_seed(0, -1)
+    with pytest.raises(TypeError):
+        sample_disorder(12, 1.5)
+    with pytest.raises(ValueError):
+        sample_disorder(-1, 42)
+    eps = sample_disorder(12, 42)
+    assert eps.dtype == np.float64 and not eps.flags.writeable
+    with pytest.raises(ValueError):
+        eps[0] = 0.0
 
 
 def test_disorder_within_range():
